@@ -9,10 +9,17 @@ the gap current itself.
 
 Same-wire interactions use the azimuthally averaged surface kernel, which
 stays accurate when segments are about as short as the wire is thick; wire to
-wire interactions use the axis-to-axis distance. All kernel integrals run
-Gauss-Legendre quadrature after the substitution u = rho*sinh(t), which
-flattens the 1/R peak so near-singular entries are exact to quadrature
-precision.
+wire interactions use the axis-to-axis distance. Both are one kernel: the
+wire-to-wire case is a single-node ring at the axis distance. All kernel
+integrals run Gauss-Legendre quadrature after the substitution
+u = rho*sinh(t), which flattens the 1/R peak so near-singular entries are
+exact to quadrature precision.
+
+The fill follows the structure of the matrix. Because it is symmetric, one
+value is written to both mirror places of each entry pair, so the returned
+matrix is exactly symmetric. An element whose segments are all equal (every
+element but the driven one, whose feed segment is split at the gap) has a
+Toeplitz same-wire block, and one column of ring-averaged integrals fills it.
 """
 
 from __future__ import annotations
@@ -346,70 +353,74 @@ def _tent_integrals(
     centers: np.ndarray,
     coefs: np.ndarray,
     rho: np.ndarray,
+    rho_weights: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     z_zero: np.ndarray,
-    sign: float,
+    sign: np.ndarray,
     sin_w: np.ndarray,
 ) -> np.ndarray:
     """Half-tent integrals of sin(k(z - z_zero)) against spherical waves.
 
-    Returns sum over the three wave centers (weighted by coefs) of
+    For each observation half-tent (the leading axes of lo, hi, z_zero, sign
+    and sin_w) returns the sum over the three wave centers (weighted by coefs)
+    and over the distances rho (weighted by rho_weights) of
     integral over [lo, hi] of sin(k*sign*(z - z_zero))/sin_w * e^{-jkR}/R dz
-    with R = hypot(z - center, rho); vectorized over the leading axis.
+    with R = hypot(z - center, rho). rho has the half-tents' shape plus one
+    trailing axis of distance nodes, or broadcasts to it: one node of weight 1
+    at the axis distance gives the wire-to-wire kernel, the ring nodes give the
+    azimuthally averaged same-wire kernel.
     """
-    t_lo = np.arcsinh((lo[:, None] - centers) / rho[:, None])
-    t_hi = np.arcsinh((hi[:, None] - centers) / rho[:, None])
+    lo, hi, z_zero, sign, sin_w = (a[..., None, None, None] for a in (lo, hi, z_zero, sign, sin_w))
+    rho = rho[..., None, :, None]
+    centers = centers[:, None, None]
+    t_lo = np.arcsinh((lo - centers) / rho)
+    t_hi = np.arcsinh((hi - centers) / rho)
     mid = 0.5 * (t_hi + t_lo)
     half = 0.5 * (t_hi - t_lo)
     nodes, weights = _gauss(_AXIAL_QUAD_ORDER)
-    t = mid[..., None] + half[..., None] * nodes
-    z = centers[None, :, None] + rho[:, None, None] * np.sinh(t)
-    beta = np.sin(k * sign * (z - z_zero[:, None, None])) / sin_w[:, None, None]
-    vals = beta * np.exp(-1j * k * rho[:, None, None] * np.cosh(t))
-    return (((vals * weights).sum(axis=-1) * half) * coefs).sum(axis=-1)
+    t = mid + half * nodes
+    z = centers + rho * np.sinh(t)
+    beta = np.sin(k * sign * (z - z_zero)) / sin_w
+    vals = beta * np.exp(-1j * k * rho * np.cosh(t))
+    per_rho = (vals * weights).sum(axis=-1) * half[..., 0]  # (..., 3, rho nodes)
+    return ((per_rho * rho_weights).sum(axis=-1) * coefs).sum(axis=-1)
 
 
-def _tent_integrals_ring(
-    k: float,
-    centers: np.ndarray,
-    coefs: np.ndarray,
-    ring_rho: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    z_zero: np.ndarray,
-    sign: float,
-    sin_w: np.ndarray,
-    ring_weights: np.ndarray,
-) -> np.ndarray:
-    """Same as _tent_integrals with rho averaged around the wire surface."""
-    t_lo = np.arcsinh((lo[:, None, None] - centers[None, :, None]) / ring_rho)
-    t_hi = np.arcsinh((hi[:, None, None] - centers[None, :, None]) / ring_rho)
-    mid = 0.5 * (t_hi + t_lo)
-    half = 0.5 * (t_hi - t_lo)
-    nodes, weights = _gauss(_AXIAL_QUAD_ORDER)
-    t = mid[..., None] + half[..., None] * nodes
-    z = centers[None, :, None, None] + ring_rho[None, None, :, None] * np.sinh(t)
-    beta = np.sin(k * sign * (z - z_zero[:, None, None, None])) / sin_w[:, None, None, None]
-    vals = beta * np.exp(-1j * k * ring_rho[None, None, :, None] * np.cosh(t))
-    per_ring = (vals * weights).sum(axis=-1) * half  # (m, 3, ring)
-    return ((per_ring * ring_weights).sum(axis=-1) * coefs).sum(axis=-1)
+def _is_uniform(widths: np.ndarray, z_peak: np.ndarray) -> bool:
+    """True when half-tent widths agree to the roundoff of the coordinates.
+
+    A width is the difference of two junction heights, so equal segments
+    yield widths that differ by a few ulps of the largest height and no
+    more; anything wider is a real difference in the geometry.
+    """
+    scale = float(np.max(np.abs(z_peak)) + np.max(widths))
+    return float(np.ptp(widths)) <= 16.0 * np.finfo(float).eps * scale
 
 
-def impedance_matrix(grid: WireGrid, frequency_hz: float, symmetrize: bool = True) -> np.ndarray:
+def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
     """Dense complex-symmetric moment matrix for a grid at one frequency.
 
     Row/column order follows mode_basis(grid). The matrix is scaled by the
     reciprocal feed segment length so the matching excitation vector is zero
-    except for voltage/feed_length at the feed mode. The Galerkin fill is
-    symmetric up to quadrature roundoff; symmetrize=False skips the final
-    (Z + Z^T)/2 cleanup so that roundoff can be inspected.
+    except for voltage/feed_length at the feed mode.
+
+    The Galerkin matrix is symmetric, so each distinct entry is computed once
+    and written to both of its places; the result is exactly symmetric by
+    construction. Modes are grouped by element. A wire-to-wire block between
+    elements p < q is filled one column of p at a time against every mode of
+    the later elements. A same-wire block whose half-tent widths are all
+    equal is Toeplitz: its first column t gives every entry as t[|i - j|].
+    Other same-wire blocks, such as the driven element with its split feed
+    segment, are filled as a lower triangle. There, modes of unequal widths
+    whose supports meet (|i - j| <= 2) interact near-singularly and the
+    observation quadrature gives the two orders values up to ~1e-11 apart,
+    so those pairs are computed both ways and averaged as a dense fill's
+    (Z + Z^T)/2 would; every other pair agrees in both orders to roundoff.
     """
     f = _check_frequency(frequency_hz)
     if grid.n_segments == 0:
         raise DomainError("grid has no segments")
-    if np.any(np.abs((grid.end - grid.start)[:, :2]) > 1e-12):
-        raise GeometryError("solver requires all wires parallel to the z axis")
     basis = mode_basis(grid)
     _check_wire_spacing(basis)
 
@@ -423,69 +434,66 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float, symmetrize: bool = Tru
     ring_nodes, ring_w = _gauss(_RING_QUAD_ORDER)
     ring_phi = 0.5 * math.pi * (ring_nodes + 1.0)
     ring_weights = 0.5 * ring_w  # folded (1/pi) * (pi/2) Jacobian
+    axis_weight = np.ones(1)
 
-    obs_lo = basis.z_peak - basis.w_lo
-    obs_hi = basis.z_peak + basis.w_hi
-    for n in range(m):
-        centers = np.array(
-            [basis.z_peak[n] - basis.w_lo[n], basis.z_peak[n], basis.z_peak[n] + basis.w_hi[n]]
+    zp, w_lo, w_hi = basis.z_peak, basis.w_lo, basis.w_hi
+    # source mode: three wave centers and their weights
+    centers = np.stack([zp - w_lo, zp, zp + w_hi], axis=1)
+    coefs = np.stack(
+        [1.0 / sin_lo, -(np.cos(k * w_lo) / sin_lo + np.cos(k * w_hi) / sin_hi), 1.0 / sin_hi], axis=1
+    )
+    # observation mode: rising half-tent over [zp - w_lo, zp], falling over [zp, zp + w_hi]
+    obs_lo = np.stack([zp - w_lo, zp], axis=1)
+    obs_hi = np.stack([zp, zp + w_hi], axis=1)
+    obs_zero = np.stack([zp - w_lo, zp + w_hi], axis=1)
+    obs_sign = np.array([1.0, -1.0])
+    obs_sin = np.stack([sin_lo, sin_hi], axis=1)
+
+    def column(n: int, rows: slice, rho: np.ndarray, rho_weights: np.ndarray) -> np.ndarray:
+        halves = _tent_integrals(
+            k, centers[n], coefs[n], rho, rho_weights,
+            obs_lo[rows], obs_hi[rows], obs_zero[rows], obs_sign, obs_sin[rows],
         )
-        coefs = np.array(
-            [
-                1.0 / sin_lo[n],
-                -(math.cos(k * basis.w_lo[n]) / sin_lo[n] + math.cos(k * basis.w_hi[n]) / sin_hi[n]),
-                1.0 / sin_hi[n],
-            ]
-        )
-        same = (basis.x == basis.x[n]) & (basis.y == basis.y[n])
-        rho = np.hypot(basis.x - basis.x[n], basis.y - basis.y[n])
-        rho[same] = basis.radius[n]  # placeholder, replaced by the ring average
-        col = np.zeros(m, dtype=complex)
-        rising = (obs_lo, basis.z_peak, obs_lo, 1.0, sin_lo)
-        falling = (basis.z_peak, obs_hi, obs_hi, -1.0, sin_hi)
-        for lo, hi, z_zero, sign, sin_w in (rising, falling):
-            far = _tent_integrals(k, centers, coefs, rho, lo, hi, z_zero, sign, sin_w)
-            col[~same] += far[~same]
-            idx = np.nonzero(same)[0]
-            ring_rho = 2.0 * basis.radius[n] * np.sin(ring_phi / 2.0)
-            col[idx] += _tent_integrals_ring(
-                k,
-                centers,
-                coefs,
-                ring_rho,
-                lo[idx],
-                hi[idx],
-                z_zero[idx],
-                sign,
-                sin_w[idx],
-                ring_weights,
-            )
-        z[:, n] = col
+        return halves.sum(axis=-1)
+
+    edges = [0, *(np.flatnonzero(np.diff(basis.element)) + 1).tolist(), m]
+    for a, b in zip(edges[:-1], edges[1:]):
+        ring_rho = 2.0 * basis.radius[a] * np.sin(ring_phi / 2.0)
+        if _is_uniform(np.concatenate([w_lo[a:b], w_hi[a:b]]), zp[a:b]):
+            t = column(a, slice(a, b), ring_rho, ring_weights)
+            offset = np.arange(b - a)
+            z[a:b, a:b] = t[np.abs(offset[:, None] - offset[None, :])]
+        else:
+            for n in range(a, b):
+                # rows top..n-1 meet mode n: average their two orders
+                top = max(a, n - 2)
+                col = column(n, slice(top, b), ring_rho, ring_weights)
+                z[n:b, n] = z[n, n:b] = col[n - top :]
+                z[top:n, n] = z[n, top:n] = 0.5 * (z[n, top:n] + col[: n - top])
+        if b < m:
+            rho = np.hypot(basis.x[b:] - basis.x[a], basis.y[b:] - basis.y[a])[:, None, None]
+            for n in range(a, b):
+                z[b:, n] = z[n, b:] = column(n, slice(b, m), rho, axis_weight)
     z *= 1j * ETA_0 / (4.0 * math.pi * basis.feed_length_m)
-    if not symmetrize:
-        return z
-    return (z + z.T) / 2.0
+    return z
 
 
 def _check_wire_spacing(basis: ModeBasis) -> None:
-    xy = np.stack([basis.x, basis.y], axis=1)
-    for e in np.unique(basis.element):
-        sel = basis.element == e
-        for q in np.unique(basis.element):
-            if q <= e:
-                continue
-            other = basis.element == q
-            d = math.hypot(
-                float(basis.x[sel][0] - basis.x[other][0]),
-                float(basis.y[sel][0] - basis.y[other][0]),
-            )
-            if d == 0.0:
-                raise GeometryError(f"elements {int(e)} and {int(q)} are coincident")
-            if d <= float(basis.radius[sel][0] + basis.radius[other][0]):
-                raise GeometryError(
-                    f"elements {int(e)} and {int(q)} overlap (axis spacing {d:.4g} m)"
-                )
-    del xy
+    """Raise GeometryError for the first coincident or overlapping element pair.
+
+    Pairs are taken in (lower, higher) index order.
+    """
+    elements, first = np.unique(basis.element, return_index=True)
+    x, y, radius = basis.x[first], basis.y[first], basis.radius[first]
+    p, q = np.triu_indices(elements.size, k=1)
+    d = np.hypot(x[p] - x[q], y[p] - y[q])
+    bad = np.flatnonzero((d == 0.0) | (d <= radius[p] + radius[q]))
+    if bad.size:
+        i = bad[0]
+        e, o = int(elements[p[i]]), int(elements[q[i]])
+        if d[i] == 0.0:
+            raise GeometryError(f"elements {e} and {o} are coincident")
+        raise GeometryError(f"elements {e} and {o} overlap (axis spacing {d[i]:.4g} m)")
 
 
 def _interpolate_to_segments(

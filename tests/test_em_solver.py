@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_fill
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
 from yagilab.em_solver import (
+    WireGrid,
     _build_grid,
+    _is_uniform,
     dipole_grid,
     far_field,
     frequency_sweep,
     grid_to_csv,
     impedance_matrix,
     input_impedance,
+    mode_basis,
     segment,
     solve_grid,
 )
@@ -175,6 +179,21 @@ def test_coincident_elements_rejected():
         impedance_matrix(grid, F0)
 
 
+@pytest.mark.parametrize(
+    "x2_radii, message",
+    [
+        (1.5, r"elements 0 and 2 overlap \(axis spacing 0\.0004997 m\)"),
+        (3.0, "elements 1 and 2 are coincident"),
+    ],
+)
+def test_wire_spacing_reports_the_first_bad_pair(x2_radii, message):
+    radius = 1e-3 * LAM
+    rows = [(0.0, 0.0, 0.5 * LAM, radius, 0), (3.0 * radius, 0.0, 0.5 * LAM, radius, 1)]
+    rows.append((x2_radii * radius, 0.0, 0.5 * LAM, radius, 2))
+    with pytest.raises(GeometryError, match=message):
+        impedance_matrix(_build_grid(rows, 11, 0), F0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     n_elements=st.integers(min_value=1, max_value=3),
@@ -185,7 +204,10 @@ def test_coincident_elements_rejected():
     f_mhz=st.floats(min_value=300.0, max_value=1500.0),
 )
 def test_matrix_reciprocity_property(n_elements, segs, seg_len_frac, radius_frac, spacing_frac, f_mhz):
-    """The raw Galerkin fill is symmetric to solver roundoff, no cleanup needed.
+    """The raw dense Galerkin fill is symmetric to solver roundoff.
+
+    This is what lets the structured fill compute each mirror pair once; the
+    oracle tests below check the pairs it computes both ways.
 
     Segment electrical length is drawn directly and capped near lambda/8, the
     usual discretization envelope; coarser segments degrade the quadrature
@@ -199,9 +221,77 @@ def test_matrix_reciprocity_property(n_elements, segs, seg_len_frac, radius_frac
         for i in range(n_elements)
     ]
     grid = _build_grid(rows, segs, 0)
-    raw = impedance_matrix(grid, f_hz, symmetrize=False)
+    raw = dense_fill.impedance_matrix(grid, f_hz, symmetrize=False)
     asym = np.max(np.abs(raw - raw.T)) / np.max(np.abs(raw))
     assert asym <= 1e-10
+
+
+def _oracle_defect(grid, f_hz):
+    """Largest entry difference from the dense fill, relative to its largest entry."""
+    z = impedance_matrix(grid, f_hz)
+    ref = dense_fill.impedance_matrix(grid, f_hz)
+    return np.max(np.abs(z - ref)) / np.max(np.abs(ref))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n_elements=st.integers(min_value=1, max_value=3),
+    segs=st.sampled_from([3, 5, 7, 9]),
+    spacing_frac=st.floats(min_value=0.05, max_value=0.4),
+    f_mhz=st.floats(min_value=300.0, max_value=1500.0),
+)
+def test_structured_fill_matches_dense_oracle_property(data, n_elements, segs, spacing_frac, f_mhz):
+    """Triangle, Toeplitz and wire-to-wire blocks reproduce the dense fill."""
+    f_hz = f_mhz * 1e6
+    lam = SPEED_OF_LIGHT / f_hz
+    fracs = st.tuples(st.floats(min_value=0.01, max_value=0.12), st.floats(min_value=5e-5, max_value=2e-3))
+    rows = []
+    for i in range(n_elements):
+        seg_len_frac, radius_frac = data.draw(fracs)
+        rows.append((i * spacing_frac * lam, 0.0, seg_len_frac * segs * lam, radius_frac * lam, i))
+    feed = data.draw(st.integers(min_value=0, max_value=n_elements - 1))
+    assert _oracle_defect(_build_grid(rows, segs, feed), f_hz) <= 1e-12
+
+
+@pytest.mark.parametrize("segs", [21, 41])
+@pytest.mark.parametrize("f_hz", [850e6, 905e6, 960e6])
+def test_structured_fill_matches_dense_oracle_on_beam(segs, f_hz):
+    grid = segment(build_design("nbs", F0, 0.005), segs)
+    assert _oracle_defect(grid, f_hz) <= 1e-12
+
+
+@pytest.mark.parametrize("segs", [3, 21, 41])
+def test_toeplitz_trigger_on_segmented_beam(segs):
+    """Every element of a segmented beam but the split driven one is uniform."""
+    basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
+    driven = basis.element[basis.feed_mode]
+    for e in np.unique(basis.element):
+        sel = basis.element == e
+        widths = np.concatenate([basis.w_lo[sel], basis.w_hi[sel]])
+        assert _is_uniform(widths, basis.z_peak[sel]) == (e != driven)
+
+
+def test_nearly_uniform_element_is_not_taken_as_toeplitz():
+    """Segments equal only to the validation tolerance still match the oracle.
+
+    The second element's junctions are displaced by 1e-10 of a segment,
+    which validate() accepts as uniform; a Toeplitz block built from its first
+    column would be off by about that much.
+    """
+    segs = 9
+    rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]
+    base = _build_grid(rows, segs, 0)
+    start, end = base.start.copy(), base.end.copy()
+    seg_len = 0.45 * LAM / segs
+    for j in range(1, segs):
+        shift = (-1) ** j * 1e-10 * seg_len
+        end[segs + j - 1, 2] += shift
+        start[segs + j, 2] += shift
+    grid = WireGrid(start, end, base.radius, base.element, base.feed_segment)
+    assert grid.validate() == []
+    assert not np.allclose(grid.lengths[segs:], seg_len, rtol=1e-12, atol=0)
+    assert _oracle_defect(grid, F0) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
