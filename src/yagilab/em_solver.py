@@ -15,11 +15,18 @@ integrals run Gauss-Legendre quadrature after the substitution
 u = rho*sinh(t), which flattens the 1/R peak so near-singular entries are
 exact to quadrature precision.
 
-The fill follows the structure of the matrix. Because it is symmetric, one
-value is written to both mirror places of each entry pair, so the returned
-matrix is exactly symmetric. An element whose segments are all equal (every
-element but the driven one, whose feed segment is split at the gap) has a
-Toeplitz same-wire block, and one column of ring-averaged integrals fills it.
+The fill is built from wave-center segment integrals. A sinusoidal mode
+radiates as three point sources at its segment edges (the wave centers) and
+is tested by a rising and a falling sinusoid over its two segments, so every
+entry is a sum of integrals of one (edge, segment) pair. Each edge is a wave
+center of up to three modes and each segment carries the half-tents of two,
+so the kernel runs once per edge against a run of segments and every
+integral serves all the mode pairs that use it. Because the matrix is
+symmetric, one value is written to both mirror places of each entry pair,
+so the returned matrix is exactly symmetric. An element whose segments are
+all equal (every element but the driven one, whose feed segment is split at
+the gap) has a Toeplitz same-wire block, and the integrals of its first edge
+and their mirror images fill it.
 """
 
 from __future__ import annotations
@@ -160,7 +167,6 @@ class CurrentSolution:
     excitation_voltage: complex
     frequency_hz: float
     feed_index: int
-    feed_length_m: float
     residual: float  # relative residual of the linear solve
 
 
@@ -348,43 +354,39 @@ def _sin_widths(k: float, basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(k * basis.w_lo), np.sin(k * basis.w_hi)
 
 
-def _tent_integrals(
+def _segment_integrals(
     k: float,
-    centers: np.ndarray,
-    coefs: np.ndarray,
+    center: float,
     rho: np.ndarray,
     rho_weights: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    z_zero: np.ndarray,
-    sign: np.ndarray,
-    sin_w: np.ndarray,
-) -> np.ndarray:
-    """Half-tent integrals of sin(k(z - z_zero)) against spherical waves.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rising and falling sinusoid integrals of segments against one wave center.
 
-    For each observation half-tent (the leading axes of lo, hi, z_zero, sign
-    and sin_w) returns the sum over the three wave centers (weighted by coefs)
-    and over the distances rho (weighted by rho_weights) of
-    integral over [lo, hi] of sin(k*sign*(z - z_zero))/sin_w * e^{-jkR}/R dz
-    with R = hypot(z - center, rho). rho has the half-tents' shape plus one
-    trailing axis of distance nodes, or broadcasts to it: one node of weight 1
-    at the axis distance gives the wire-to-wire kernel, the ring nodes give the
-    azimuthally averaged same-wire kernel.
+    For each segment [lo, hi] returns the sums over the distances rho
+    (weighted by rho_weights) of
+        rise = integral over [lo, hi] of sin(k(z - lo)) e^{-jkR}/R dz,
+        fall = integral over [lo, hi] of sin(k(hi - z)) e^{-jkR}/R dz,
+    with R = hypot(z - center, rho). rho has one row per segment, or a single
+    row for all of them, and one column per distance node: one node of weight
+    1 at the axis distance gives the wire-to-wire kernel, the ring nodes give
+    the azimuthally averaged same-wire kernel. Both integrals share their
+    quadrature nodes and spherical wave.
     """
-    lo, hi, z_zero, sign, sin_w = (a[..., None, None, None] for a in (lo, hi, z_zero, sign, sin_w))
-    rho = rho[..., None, :, None]
-    centers = centers[:, None, None]
-    t_lo = np.arcsinh((lo - centers) / rho)
-    t_hi = np.arcsinh((hi - centers) / rho)
+    lo, hi = lo[:, None, None], hi[:, None, None]
+    rho = rho[..., None]
+    t_lo = np.arcsinh((lo - center) / rho)
+    t_hi = np.arcsinh((hi - center) / rho)
     mid = 0.5 * (t_hi + t_lo)
     half = 0.5 * (t_hi - t_lo)
     nodes, weights = _gauss(_AXIAL_QUAD_ORDER)
     t = mid + half * nodes
-    z = centers + rho * np.sinh(t)
-    beta = np.sin(k * sign * (z - z_zero)) / sin_w
-    vals = beta * np.exp(-1j * k * rho * np.cosh(t))
-    per_rho = (vals * weights).sum(axis=-1) * half[..., 0]  # (..., 3, rho nodes)
-    return ((per_rho * rho_weights).sum(axis=-1) * coefs).sum(axis=-1)
+    z = center + rho * np.sinh(t)
+    wave = np.exp(-1j * k * rho * np.cosh(t)) * weights
+    rise = (np.sin(k * (z - lo)) * wave).sum(axis=-1) * half[..., 0]
+    fall = (np.sin(k * (hi - z)) * wave).sum(axis=-1) * half[..., 0]
+    return rise @ rho_weights, fall @ rho_weights
 
 
 def _is_uniform(widths: np.ndarray, z_peak: np.ndarray) -> bool:
@@ -405,25 +407,33 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
     reciprocal feed segment length so the matching excitation vector is zero
     except for voltage/feed_length at the feed mode.
 
-    The Galerkin matrix is symmetric, so each distinct entry is computed once
-    and written to both of its places; the result is exactly symmetric by
-    construction. Modes are grouped by element. A wire-to-wire block between
-    elements p < q is filled one column of p at a time against every mode of
-    the later elements. A same-wire block whose half-tent widths are all
-    equal is Toeplitz: its first column t gives every entry as t[|i - j|].
-    Other same-wire blocks, such as the driven element with its split feed
-    segment, are filled as a lower triangle. There, modes of unequal widths
-    whose supports meet (|i - j| <= 2) interact near-singularly and the
-    observation quadrature gives the two orders values up to ~1e-11 apart,
-    so those pairs are computed both ways and averaged as a dense fill's
-    (Z + Z^T)/2 would; every other pair agrees in both orders to roundoff.
+    Every entry is built from wave-center segment integrals: a source mode is
+    three point sources at its segment edges and an observation mode is a
+    rising and a falling sinusoid over its two segments, so one integral of
+    an (edge, segment) pair serves every mode pair that uses it. Each
+    distinct entry is written to both of its places and the result is
+    exactly symmetric. A wire-to-wire block between elements p < q takes
+    every edge of p against the segments of the later elements. An element
+    whose segments are all equal has a Toeplitz same-wire block, which the
+    integrals of its first edge and their mirror images fill. Any other
+    same-wire block, such as the driven element's with its split feed
+    segment, takes every edge against its own segments and is averaged with
+    its transpose, since modes of unequal widths whose supports meet give
+    the two orders values up to ~1e-11 apart.
     """
+    basis, f = _checked_basis(grid, frequency_hz)
+    return _fill(basis, f)
+
+
+def _checked_basis(grid: WireGrid, frequency_hz: float) -> tuple[ModeBasis, float]:
     f = _check_frequency(frequency_hz)
     if grid.n_segments == 0:
         raise DomainError("grid has no segments")
-    basis = mode_basis(grid)
-    _check_wire_spacing(basis)
+    return mode_basis(grid), f
 
+
+def _fill(basis: ModeBasis, f: float) -> np.ndarray:
+    _check_wire_spacing(basis)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
     sin_lo, sin_hi = _sin_widths(k, basis)
     m = basis.n_modes
@@ -437,43 +447,62 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
     axis_weight = np.ones(1)
 
     zp, w_lo, w_hi = basis.z_peak, basis.w_lo, basis.w_hi
-    # source mode: three wave centers and their weights
-    centers = np.stack([zp - w_lo, zp, zp + w_hi], axis=1)
+    # weights of a source mode's three wave centers, its edges zp - w_lo, zp, zp + w_hi
     coefs = np.stack(
         [1.0 / sin_lo, -(np.cos(k * w_lo) / sin_lo + np.cos(k * w_hi) / sin_hi), 1.0 / sin_hi], axis=1
     )
-    # observation mode: rising half-tent over [zp - w_lo, zp], falling over [zp, zp + w_hi]
-    obs_lo = np.stack([zp - w_lo, zp], axis=1)
-    obs_hi = np.stack([zp, zp + w_hi], axis=1)
-    obs_zero = np.stack([zp - w_lo, zp + w_hi], axis=1)
-    obs_sign = np.array([1.0, -1.0])
-    obs_sin = np.stack([sin_lo, sin_hi], axis=1)
+    bounds = [0, *(np.flatnonzero(np.diff(basis.element)) + 1).tolist(), m]
+    groups = list(zip(bounds[:-1], bounds[1:]))
+    # edges of each element: its lower end, its junctions, its upper end
+    edges = [np.concatenate([[zp[a] - w_lo[a]], zp[a:b], [zp[b - 1] + w_hi[b - 1]]]) for a, b in groups]
+    seg_lo = np.concatenate([e[:-1] for e in edges])
+    seg_hi = np.concatenate([e[1:] for e in edges])
+    seg_count = np.diff(bounds) + 1
+    seg_x = np.repeat(basis.x[bounds[:-1]], seg_count)
+    seg_y = np.repeat(basis.y[bounds[:-1]], seg_count)
+    # mode n rises over segment below[n] and falls over below[n] + 1
+    below = np.arange(m) + np.repeat(np.arange(len(groups)), np.diff(bounds))
 
-    def column(n: int, rows: slice, rho: np.ndarray, rho_weights: np.ndarray) -> np.ndarray:
-        halves = _tent_integrals(
-            k, centers[n], coefs[n], rho, rho_weights,
-            obs_lo[rows], obs_hi[rows], obs_zero[rows], obs_sign, obs_sin[rows],
+    def integrals(
+        centers: np.ndarray, rho: np.ndarray, rho_weights: np.ndarray, segs: slice
+    ) -> tuple[np.ndarray, np.ndarray]:
+        rise, fall = zip(
+            *(_segment_integrals(k, c, rho, rho_weights, seg_lo[segs], seg_hi[segs]) for c in centers)
         )
-        return halves.sum(axis=-1)
+        return np.array(rise), np.array(fall)
 
-    edges = [0, *(np.flatnonzero(np.diff(basis.element)) + 1).tolist(), m]
-    for a, b in zip(edges[:-1], edges[1:]):
-        ring_rho = 2.0 * basis.radius[a] * np.sin(ring_phi / 2.0)
+    def block(rise: np.ndarray, fall: np.ndarray, src: slice, obs: slice, first_seg: int) -> np.ndarray:
+        """Entries [source n, observation i] from the integrals of n's edges."""
+        seg = below[obs] - first_seg
+        h = rise[:, seg] / sin_lo[obs] + fall[:, seg + 1] / sin_hi[obs]
+        c = coefs[src]
+        return c[:, 0:1] * h[:-2] + c[:, 1:2] * h[1:-1] + c[:, 2:3] * h[2:]
+
+    for (a, b), e in zip(groups, edges):
+        n_seg = b - a + 1
+        own = slice(below[a], below[a] + n_seg)
+        ring_rho = (2.0 * basis.radius[a] * np.sin(ring_phi / 2.0))[None, :]
         if _is_uniform(np.concatenate([w_lo[a:b], w_hi[a:b]]), zp[a:b]):
-            t = column(a, slice(a, b), ring_rho, ring_weights)
-            offset = np.arange(b - a)
-            z[a:b, a:b] = t[np.abs(offset[:, None] - offset[None, :])]
+            # integrals at segment offset d from the first edge; the mirror
+            # image of offset d is -d - 1 with rising and falling swapped
+            rise, fall = integrals(e[:1], ring_rho, ring_weights, own)
+            rise_at = np.concatenate([fall[0, ::-1], rise[0]])
+            fall_at = np.concatenate([rise[0, ::-1], fall[0]])
+            # rows: the first mode's three edges, at offsets 0, 1, 2
+            offset = n_seg + np.arange(n_seg)[None, :] - np.arange(3)[:, None]
+            t = block(rise_at[offset], fall_at[offset], slice(a, a + 1), slice(a, b), own.start)[0]
+            i = np.arange(b - a)
+            z[a:b, a:b] = t[np.abs(i[:, None] - i[None, :])]
         else:
-            for n in range(a, b):
-                # rows top..n-1 meet mode n: average their two orders
-                top = max(a, n - 2)
-                col = column(n, slice(top, b), ring_rho, ring_weights)
-                z[n:b, n] = z[n, n:b] = col[n - top :]
-                z[top:n, n] = z[n, top:n] = 0.5 * (z[n, top:n] + col[: n - top])
+            rise, fall = integrals(e, ring_rho, ring_weights, own)
+            own_block = block(rise, fall, slice(a, b), slice(a, b), own.start)
+            z[a:b, a:b] = 0.5 * (own_block + own_block.T)
         if b < m:
-            rho = np.hypot(basis.x[b:] - basis.x[a], basis.y[b:] - basis.y[a])[:, None, None]
-            for n in range(a, b):
-                z[b:, n] = z[n, b:] = column(n, slice(b, m), rho, axis_weight)
+            later = slice(own.stop, None)
+            rho = np.hypot(seg_x[later] - basis.x[a], seg_y[later] - basis.y[a])[:, None]
+            rise, fall = integrals(e, rho, axis_weight, later)
+            z[a:b, b:] = block(rise, fall, slice(a, b), slice(b, m), own.stop)
+            z[b:, a:b] = z[a:b, b:].T
     z *= 1j * ETA_0 / (4.0 * math.pi * basis.feed_length_m)
     return z
 
@@ -499,24 +528,27 @@ def _check_wire_spacing(basis: ModeBasis) -> None:
 def _interpolate_to_segments(
     basis: ModeBasis, amplitudes: np.ndarray, grid: WireGrid, k: float
 ) -> np.ndarray:
-    """Evaluate the sinusoidal expansion at every segment center."""
-    currents = np.zeros(grid.n_segments, dtype=complex)
+    """Evaluate the sinusoidal expansion at every segment center.
+
+    A center takes the terms of the modes on its element whose support holds
+    it, summed in mode order.
+    """
     zc = grid.centers[:, 2]
-    sin_lo = np.sin(k * basis.w_lo)
-    sin_hi = np.sin(k * basis.w_hi)
-    for m_idx in range(basis.n_modes):
-        e = basis.element[m_idx]
-        seg_sel = np.nonzero(grid.element == e)[0]
-        z = zc[seg_sel]
-        z0 = basis.z_peak[m_idx]
-        lo = z0 - basis.w_lo[m_idx]
-        hi = z0 + basis.w_hi[m_idx]
-        beta = np.zeros(z.size)
-        below = (z >= lo) & (z <= z0)
-        above = (z > z0) & (z <= hi)
-        beta[below] = np.sin(k * (z[below] - lo)) / sin_lo[m_idx]
-        beta[above] = np.sin(k * (hi - z[above])) / sin_hi[m_idx]
-        currents[seg_sel] += amplitudes[m_idx] * beta
+    z0 = basis.z_peak[:, None]
+    lo = z0 - basis.w_lo[:, None]
+    hi = z0 + basis.w_hi[:, None]
+    same = basis.element[:, None] == grid.element[None, :]
+    rising = same & (zc >= lo) & (zc <= z0)
+    falling = same & (zc > z0) & (zc <= hi)
+    mode, seg = np.nonzero(rising | falling)
+    z = zc[seg]
+    beta = np.where(
+        rising[mode, seg],
+        np.sin(k * (z - lo[mode, 0])) / np.sin(k * basis.w_lo[mode]),
+        np.sin(k * (hi[mode, 0] - z)) / np.sin(k * basis.w_hi[mode]),
+    )
+    currents = np.zeros(grid.n_segments, dtype=complex)
+    np.add.at(currents, seg, amplitudes[mode] * beta)
     return currents
 
 
@@ -528,7 +560,12 @@ def solve_currents(
 ) -> CurrentSolution:
     """LU solve of the delta-gap excitation (V/feed_length in the gap row)."""
     f = _check_frequency(frequency_hz)
-    basis = mode_basis(grid)
+    return _solve(matrix, mode_basis(grid), grid, f, voltage)
+
+
+def _solve(
+    matrix: np.ndarray, basis: ModeBasis, grid: WireGrid, f: float, voltage: complex
+) -> CurrentSolution:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"moment matrix must be square, got shape {matrix.shape}")
@@ -567,15 +604,14 @@ def solve_currents(
         excitation_voltage=complex(voltage),
         frequency_hz=f,
         feed_index=int(grid.feed_segment),
-        feed_length_m=basis.feed_length_m,
         residual=residual,
     )
 
 
 def solve_grid(grid: WireGrid, frequency_hz: float, voltage: complex = 1.0 + 0j) -> CurrentSolution:
-    """Fill and solve in one step for a grid's own feed segment."""
-    matrix = impedance_matrix(grid, frequency_hz)
-    return solve_currents(matrix, grid, frequency_hz, voltage)
+    """Fill and solve in one step for a grid's own feed segment, on one mode basis."""
+    basis, f = _checked_basis(grid, frequency_hz)
+    return _solve(_fill(basis, f), basis, grid, f, voltage)
 
 
 def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
@@ -648,12 +684,14 @@ def far_field(solution: CurrentSolution, grid: WireGrid, resolution_deg: float =
     The gain normalization divides by radiated power computed with a
     Gauss-Legendre quadrature that is independent of the sample grid.
     """
-    if not (isinstance(resolution_deg, (int, float)) and resolution_deg > 0):
-        raise DomainError(f"resolution must be positive, got {resolution_deg!r}")
+    if not (
+        isinstance(resolution_deg, (int, float)) and math.isfinite(resolution_deg) and resolution_deg > 0
+    ):
+        raise DomainError(f"resolution must be positive and finite, got {resolution_deg!r}")
     n_phi = 360.0 / resolution_deg
-    if abs(n_phi - round(n_phi)) > 1e-9 or round(n_phi) % 2 != 0:
+    if abs(n_phi - round(n_phi)) > 1e-9 or round(n_phi) % 2 != 0 or round(n_phi) < 2:
         raise DomainError(
-            f"resolution must divide 360 into an even number of steps, got {resolution_deg}"
+            f"resolution must divide 360 into an even number of steps, at least 2, got {resolution_deg}"
         )
     n_phi = int(round(n_phi))
     n_theta = n_phi // 2 + 1

@@ -10,6 +10,7 @@ from yagilab import cli
 from yagilab.errors import DomainError, ParseError
 
 DATA_DIR = Path(__file__).parent / "data"
+BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
 YAGI_CSV = DATA_DIR / "yagi_range_pattern.csv"
 HELIX_CSV = DATA_DIR / "helix_range_pattern.csv"
 
@@ -191,6 +192,19 @@ def test_domain_errors_exit_one(tmp_path, capsys):
                     "--u", "1.5", "--v", "6.9", "--z0", "209"]) == 1
 
 
+@pytest.mark.parametrize("resolution", ["inf", "1e300"])
+def test_simulate_with_resolution_below_two_steps_exits_one(tmp_path, capsys, resolution):
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "3",
+                  "--resolution", resolution, "--out", str(out), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "resolution" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_output_dir_checked_before_compute(tmp_path):
     out = tmp_path / "nope" / "d.json"
     assert cli.run(["design", "--out", str(out)]) == 1
@@ -312,3 +326,27 @@ def test_full_pipeline_design_to_report(tmp_path, capsys):
     assert report["min_range_angle_deg"] == 120.0
     assert report["vswr"] > 1.0
     assert report["bandwidth_mhz"] is None
+
+
+def test_sweep_band_matches_benchmark_reference(tmp_path):
+    """The benchmark's sweep-band op reproduces its stored Z and gain.
+
+    Reads perfbench/reference.json (never writes it) and applies its
+    tolerances, so a change that would fail the benchmark's output check
+    fails here first.
+    """
+    reference = json.loads(BENCH_REFERENCE.read_text())
+    tol, band = reference["tolerance"], reference["sweep-band"]
+    design, out = tmp_path / "nbs.json", tmp_path / "sweep.json"
+    assert cli.run(["design", "--rule", "nbs", "--freq-mhz", "900", "--diameter-mm", "5",
+                    "--out", str(design), "--quiet"]) == 0
+    assert cli.run(["simulate", "--design", str(design), *band["argv"],
+                    "--out", str(out), "--quiet"]) == 0
+    points = json.loads(out.read_text())["sweep"]
+    assert len(points) == len(band["points"])
+    for got, want in zip(points, band["points"]):
+        assert got["error"] is None
+        assert got["frequency_hz"] == want["frequency_hz"]
+        z, z_ref = complex(*got["impedance_ohm"]), complex(*want["impedance_ohm"])
+        assert abs(z - z_ref) <= tol["impedance_rel"] * abs(z_ref)
+        assert abs(got["gain_dbi"] - want["gain_dbi"]) <= tol["gain_db"]

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_fill
+import interpolation_loop
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
 from yagilab.em_solver import (
     WireGrid,
     _build_grid,
+    _interpolate_to_segments,
     _is_uniform,
+    _segment_integrals,
     dipole_grid,
     far_field,
     frequency_sweep,
@@ -19,6 +22,7 @@ from yagilab.em_solver import (
     input_impedance,
     mode_basis,
     segment,
+    solve_currents,
     solve_grid,
 )
 from yagilab.errors import DiscretizationError, DomainError, GeometryError
@@ -26,6 +30,7 @@ from yagilab.geometry import SPEED_OF_LIGHT, build_design
 
 F0 = 900e6
 LAM = SPEED_OF_LIGHT / F0
+BAND_HZ = [850e6, 905e6, 960e6]
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +117,33 @@ def test_impedance_converges_monotonically():
     assert step2 < step1
 
 
+@pytest.mark.parametrize("source", ["dipole51", "nbs21"])
+def test_interpolation_matches_loop_oracle(source, dipole51):
+    if source == "dipole51":
+        grid, sol = dipole51
+    else:
+        grid = segment(build_design("nbs", F0, 0.005), 21)
+        sol = solve_grid(grid, F0)
+    k = 2.0 * math.pi * F0 / SPEED_OF_LIGHT
+    want = interpolation_loop._interpolate_to_segments(sol.basis, sol.amplitudes, grid, k)
+    assert np.array_equal(_interpolate_to_segments(sol.basis, sol.amplitudes, grid, k), want)
+    assert np.array_equal(sol.currents, want)
+
+
 def test_solution_residual_is_tiny(dipole51):
     _, sol = dipole51
     assert sol.residual < 1e-10
+
+
+def test_public_fill_and_solve_match_solve_grid():
+    """solve_grid's shared mode basis gives what the two public steps give."""
+    grid = segment(build_design("nbs", F0, 0.005), 7)
+    one_step = solve_grid(grid, F0)
+    two_step = solve_currents(impedance_matrix(grid, F0), grid, F0)
+    assert np.array_equal(one_step.amplitudes, two_step.amplitudes)
+    assert np.array_equal(one_step.currents, two_step.currents)
+    with pytest.raises(DomainError, match="does not match"):
+        solve_currents(np.eye(3, dtype=complex), grid, F0)
 
 
 def test_default_matrix_is_exactly_symmetric():
@@ -142,6 +171,21 @@ def test_sweep_tags_failed_points():
     assert points[1].error is not None
     assert points[1].impedance is None
     assert points[1].peak_gain_dbi is None
+
+
+@pytest.mark.parametrize("resolution_deg", [math.inf, 1e300])
+def test_far_field_rejects_resolution_without_two_phi_steps(dipole51, resolution_deg):
+    grid, sol = dipole51
+    with pytest.raises(DomainError, match="resolution"):
+        far_field(sol, grid, resolution_deg=resolution_deg)
+
+
+def test_sweep_tags_every_point_with_a_bad_resolution():
+    design = build_design("nbs", F0, 0.005)
+    freqs = [850e6, 900e6, 950e6]
+    points = frequency_sweep(design, freqs, segs_per_element=3, resolution_deg=math.inf)
+    assert [p.frequency_hz for p in points] == freqs
+    assert all(p.error is not None and "resolution" in p.error for p in points)
 
 
 def test_sweep_rejects_empty_frequency_list():
@@ -242,7 +286,7 @@ def _oracle_defect(grid, f_hz):
     f_mhz=st.floats(min_value=300.0, max_value=1500.0),
 )
 def test_structured_fill_matches_dense_oracle_property(data, n_elements, segs, spacing_frac, f_mhz):
-    """Triangle, Toeplitz and wire-to-wire blocks reproduce the dense fill."""
+    """Toeplitz, averaged same-wire and wire-to-wire blocks reproduce the dense fill."""
     f_hz = f_mhz * 1e6
     lam = SPEED_OF_LIGHT / f_hz
     fracs = st.tuples(st.floats(min_value=0.01, max_value=0.12), st.floats(min_value=5e-5, max_value=2e-3))
@@ -254,11 +298,45 @@ def test_structured_fill_matches_dense_oracle_property(data, n_elements, segs, s
     assert _oracle_defect(_build_grid(rows, segs, feed), f_hz) <= 1e-12
 
 
-@pytest.mark.parametrize("segs", [21, 41])
-@pytest.mark.parametrize("f_hz", [850e6, 905e6, 960e6])
-def test_structured_fill_matches_dense_oracle_on_beam(segs, f_hz):
-    grid = segment(build_design("nbs", F0, 0.005), segs)
+BEAMS = [(rule, d) for rule in ("nbs", "balanis", "ycope") for d in (0.005, 0.002)]
+ORACLE_BEAM_CASES = (
+    [("nbs", 0.005, segs, f_hz) for segs in (21, 41) for f_hz in BAND_HZ]
+    + [(rule, d, segs, f_hz) for rule, d in BEAMS for segs in (7, 15) for f_hz in BAND_HZ]
+    + [(rule, d, 21, 905e6) for rule, d in BEAMS[1:]]
+)
+
+
+@pytest.mark.parametrize(
+    "rule, diameter_m, segs, f_hz",
+    ORACLE_BEAM_CASES,
+    ids=[
+        f"{f_hz}-{segs}" if (rule, d) == BEAMS[0] else f"{rule}-{d * 1e3:g}mm-{f_hz}-{segs}"
+        for rule, d, segs, f_hz in ORACLE_BEAM_CASES
+    ],
+)
+def test_structured_fill_matches_dense_oracle_on_beam(rule, diameter_m, segs, f_hz):
+    """Every design rule and rod, at design-loop's sizes and the benchmark's."""
+    grid = segment(build_design(rule, F0, diameter_m), segs)
     assert _oracle_defect(grid, f_hz) <= 1e-12
+
+
+def test_segment_integrals_reflect_about_the_wave_center():
+    """On a uniform wire, fall at offset d from the first edge is rise at -d - 1.
+
+    The mirror image of the wire about its center swaps the first and last
+    edges and turns each falling sinusoid into a rising one, which is what
+    lets one edge's integrals fill a whole Toeplitz block.
+    """
+    k = 2.0 * math.pi / LAM
+    edges = np.linspace(-0.25 * LAM, 0.25 * LAM, 12)
+    nodes = np.linspace(0.1, 3.0, 5)
+    ring = (2e-3 * LAM * np.sin(nodes / 2.0))[None, :]
+    weights = np.full(nodes.size, 0.2)
+    lo, hi = edges[:-1], edges[1:]
+    rise_first, fall_first = _segment_integrals(k, edges[0], ring, weights, lo, hi)
+    rise_last, fall_last = _segment_integrals(k, edges[-1], ring, weights, lo, hi)
+    for got, want in ((fall_first, rise_last[::-1]), (rise_first, fall_last[::-1])):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("segs", [3, 21, 41])
