@@ -421,18 +421,10 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
     its transpose, since modes of unequal widths whose supports meet give
     the two orders values up to ~1e-11 apart.
     """
-    basis, f = _checked_basis(grid, frequency_hz)
-    return _fill(basis, f)
-
-
-def _checked_basis(grid: WireGrid, frequency_hz: float) -> tuple[ModeBasis, float]:
     f = _check_frequency(frequency_hz)
     if grid.n_segments == 0:
         raise DomainError("grid has no segments")
-    return mode_basis(grid), f
-
-
-def _fill(basis: ModeBasis, f: float) -> np.ndarray:
+    basis = mode_basis(grid)
     _check_wire_spacing(basis)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
     sin_lo, sin_hi = _sin_widths(k, basis)
@@ -560,12 +552,7 @@ def solve_currents(
 ) -> CurrentSolution:
     """LU solve of the delta-gap excitation (V/feed_length in the gap row)."""
     f = _check_frequency(frequency_hz)
-    return _solve(matrix, mode_basis(grid), grid, f, voltage)
-
-
-def _solve(
-    matrix: np.ndarray, basis: ModeBasis, grid: WireGrid, f: float, voltage: complex
-) -> CurrentSolution:
+    basis = mode_basis(grid)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"moment matrix must be square, got shape {matrix.shape}")
@@ -609,9 +596,9 @@ def _solve(
 
 
 def solve_grid(grid: WireGrid, frequency_hz: float, voltage: complex = 1.0 + 0j) -> CurrentSolution:
-    """Fill and solve in one step for a grid's own feed segment, on one mode basis."""
-    basis, f = _checked_basis(grid, frequency_hz)
-    return _solve(_fill(basis, f), basis, grid, f, voltage)
+    """Fill and solve in one step for a grid's own feed segment."""
+    matrix = impedance_matrix(grid, frequency_hz)
+    return solve_currents(matrix, grid, frequency_hz, voltage)
 
 
 def input_impedance(solution: CurrentSolution) -> ImpedanceResult:

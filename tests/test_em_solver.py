@@ -22,7 +22,6 @@ from yagilab.em_solver import (
     input_impedance,
     mode_basis,
     segment,
-    solve_currents,
     solve_grid,
 )
 from yagilab.errors import DiscretizationError, DomainError, GeometryError
@@ -133,17 +132,6 @@ def test_interpolation_matches_loop_oracle(source, dipole51):
 def test_solution_residual_is_tiny(dipole51):
     _, sol = dipole51
     assert sol.residual < 1e-10
-
-
-def test_public_fill_and_solve_match_solve_grid():
-    """solve_grid's shared mode basis gives what the two public steps give."""
-    grid = segment(build_design("nbs", F0, 0.005), 7)
-    one_step = solve_grid(grid, F0)
-    two_step = solve_currents(impedance_matrix(grid, F0), grid, F0)
-    assert np.array_equal(one_step.amplitudes, two_step.amplitudes)
-    assert np.array_equal(one_step.currents, two_step.currents)
-    with pytest.raises(DomainError, match="does not match"):
-        solve_currents(np.eye(3, dtype=complex), grid, F0)
 
 
 def test_default_matrix_is_exactly_symmetric():
