@@ -340,7 +340,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         grid = em_solver.segment(design, segs)
         solution = em_solver.solve_grid(grid, design.plan.f0_hz)
         imp = em_solver.input_impedance(solution)
-        field = em_solver.far_field(solution, grid, res)
+        field = em_solver.far_field(solution, res)
         theta, phi = field.peak_direction()
         payload = {
             "rule": design.rule.value,
@@ -503,12 +503,6 @@ def _cmd_pattern_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pattern(args: argparse.Namespace) -> int:
-    if args.pattern_command == "stats":
-        return _cmd_pattern_stats(args)
-    return _cmd_pattern_plot(args)
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -602,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = psub.add_parser("stats", parents=[common], help="max/min/mean of a pattern CSV")
     ps.add_argument("--in", dest="input_path", required=True, metavar="PATH", help="pattern CSV")
     ps.add_argument("--unit", choices=[u.value for u in PatternUnit], default="meters")
-    ps.set_defaults(handler=_cmd_pattern)
+    ps.set_defaults(handler=_cmd_pattern_stats)
 
     pp = psub.add_parser("plot", parents=[common], help="polar SVG of a pattern CSV")
     pp.add_argument("--in", dest="input_path", required=True, metavar="PATH", help="pattern CSV")
@@ -613,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="radial scale (default: linear for meters, db-down for dbi)",
     )
-    pp.set_defaults(handler=_cmd_pattern)
+    pp.set_defaults(handler=_cmd_pattern_plot)
 
     return parser
 

@@ -98,6 +98,12 @@ class WireGrid:
         lengths = self.lengths
         if np.any(lengths <= 0):
             v.append("zero-length segment present")
+        bad = np.flatnonzero(~(np.isfinite(self.radius) & (self.radius > 0)))
+        if bad.size:
+            v.append(
+                f"segment {bad[0]} of element {int(self.element[bad[0]])} has a non-positive"
+                f" or non-finite radius {float(self.radius[bad[0]])!r}"
+            )
         transverse = self.end[:, :2] - self.start[:, :2]
         if np.any(np.abs(transverse) > 1e-12):
             v.append("segments must be parallel to the z axis")
@@ -135,6 +141,10 @@ class ModeBasis:
     segment is split at its center, which adds a junction exactly at the gap.
     Each mode peaks at z_peak and falls sinusoidally to zero over w_lo below
     and w_hi above the peak.
+
+    The split segments (the grid's, with the feed segment cut in two) are
+    numbered element by element; mode n rises over segment below[n] and
+    falls over segment below[n] + 1.
     """
 
     x: np.ndarray  # (m,) wire x per mode
@@ -146,6 +156,11 @@ class ModeBasis:
     element: np.ndarray  # (m,) owning element index
     feed_mode: int  # mode sitting on the feed gap
     feed_length_m: float  # length of the (unsplit) feed segment
+    grid: WireGrid  # the grid the modes come from
+    groups: tuple[tuple[int, int], ...]  # mode range [a, b) of each element
+    seg_lo: np.ndarray  # (s,) lower end of each split segment
+    seg_hi: np.ndarray  # (s,) upper end of each split segment
+    below: np.ndarray  # (m,) split segment each mode rises over
 
     @property
     def n_modes(self) -> int:
@@ -166,7 +181,6 @@ class CurrentSolution:
     basis: ModeBasis
     excitation_voltage: complex
     frequency_hz: float
-    feed_index: int
     residual: float  # relative residual of the linear solve
 
 
@@ -299,48 +313,47 @@ def dipole_grid(length_m: float, radius_m: float, segments: int) -> WireGrid:
 
 
 def mode_basis(grid: WireGrid) -> ModeBasis:
-    """Junction modes for a grid, with the feed segment split at the gap."""
+    """Junction modes for a validated grid, with the feed segment split at the gap.
+
+    Raises GeometryError for a grid that fails validate() and for coincident
+    or overlapping elements. An element of a single unsplit segment has no
+    junction, carries no mode and is left out of the element tables.
+    """
     violations = grid.validate()
     if violations:
         raise GeometryError("; ".join(violations))
-    xs, ys, zp, wlo, whi, rad, owner = [], [], [], [], [], [], []
-    feed_mode = None
-    feed_elem = int(grid.element[grid.feed_segment])
+    first: list[int] = []  # first grid segment of each mode's element
+    groups, edges = [], []
     for e in np.unique(grid.element):
-        idx = np.nonzero(grid.element == e)[0]
-        x = float(grid.start[idx[0], 0])
-        y = float(grid.start[idx[0], 1])
-        a = float(grid.radius[idx[0]])
-        edges = [float(grid.start[i, 2]) for i in idx] + [float(grid.end[idx[-1], 2])]
-        if int(e) == feed_elem:
-            gap = float(grid.centers[grid.feed_segment, 2])
-            within = int(np.nonzero(idx == grid.feed_segment)[0][0])
-            edges.insert(within + 1, gap)
-        else:
-            gap = None
-        for j in range(1, len(edges) - 1):
-            if gap is not None and edges[j] == gap:
-                feed_mode = len(xs)
-            xs.append(x)
-            ys.append(y)
-            zp.append(edges[j])
-            wlo.append(edges[j] - edges[j - 1])
-            whi.append(edges[j + 1] - edges[j])
-            rad.append(a)
-            owner.append(int(e))
-    if feed_mode is None:
-        raise GeometryError("feed gap junction missing from the mode table")
-    return ModeBasis(
-        x=np.asarray(xs),
-        y=np.asarray(ys),
-        z_peak=np.asarray(zp),
-        w_lo=np.asarray(wlo),
-        w_hi=np.asarray(whi),
-        radius=np.asarray(rad),
-        element=np.asarray(owner, dtype=int),
-        feed_mode=int(feed_mode),
+        idx = np.flatnonzero(grid.element == e)
+        z = np.append(grid.start[idx, 2], grid.end[idx[-1], 2])
+        if grid.feed_segment in idx:
+            within = int(np.flatnonzero(idx == grid.feed_segment)[0])
+            feed_mode = len(first) + within
+            z = np.insert(z, within + 1, grid.centers[grid.feed_segment, 2])
+        if z.size > 2:
+            groups.append((len(first), len(first) + z.size - 2))
+            first += [int(idx[0])] * (z.size - 2)
+            edges.append(z)
+    widths = [np.diff(z) for z in edges]
+    basis = ModeBasis(
+        x=grid.start[first, 0],
+        y=grid.start[first, 1],
+        z_peak=np.concatenate([z[1:-1] for z in edges]),
+        w_lo=np.concatenate([w[:-1] for w in widths]),
+        w_hi=np.concatenate([w[1:] for w in widths]),
+        radius=grid.radius[first],
+        element=grid.element[first],
+        feed_mode=feed_mode,
         feed_length_m=float(grid.lengths[grid.feed_segment]),
+        grid=grid,
+        groups=tuple(groups),
+        seg_lo=np.concatenate([z[:-1] for z in edges]),
+        seg_hi=np.concatenate([z[1:] for z in edges]),
+        below=np.concatenate([np.arange(a, b) + i for i, (a, b) in enumerate(groups)]),
     )
+    _check_wire_spacing(basis)
+    return basis
 
 
 def _sin_widths(k: float, basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -400,10 +413,10 @@ def _is_uniform(widths: np.ndarray, z_peak: np.ndarray) -> bool:
     return float(np.ptp(widths)) <= 16.0 * np.finfo(float).eps * scale
 
 
-def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
-    """Dense complex-symmetric moment matrix for a grid at one frequency.
+def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
+    """Dense complex-symmetric moment matrix of a mode basis at one frequency.
 
-    Row/column order follows mode_basis(grid). The matrix is scaled by the
+    Row/column order follows the basis. The matrix is scaled by the
     reciprocal feed segment length so the matching excitation vector is zero
     except for voltage/feed_length at the feed mode.
 
@@ -422,10 +435,6 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
     the two orders values up to ~1e-11 apart.
     """
     f = _check_frequency(frequency_hz)
-    if grid.n_segments == 0:
-        raise DomainError("grid has no segments")
-    basis = mode_basis(grid)
-    _check_wire_spacing(basis)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
     sin_lo, sin_hi = _sin_widths(k, basis)
     m = basis.n_modes
@@ -443,17 +452,10 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
     coefs = np.stack(
         [1.0 / sin_lo, -(np.cos(k * w_lo) / sin_lo + np.cos(k * w_hi) / sin_hi), 1.0 / sin_hi], axis=1
     )
-    bounds = [0, *(np.flatnonzero(np.diff(basis.element)) + 1).tolist(), m]
-    groups = list(zip(bounds[:-1], bounds[1:]))
-    # edges of each element: its lower end, its junctions, its upper end
-    edges = [np.concatenate([[zp[a] - w_lo[a]], zp[a:b], [zp[b - 1] + w_hi[b - 1]]]) for a, b in groups]
-    seg_lo = np.concatenate([e[:-1] for e in edges])
-    seg_hi = np.concatenate([e[1:] for e in edges])
-    seg_count = np.diff(bounds) + 1
-    seg_x = np.repeat(basis.x[bounds[:-1]], seg_count)
-    seg_y = np.repeat(basis.y[bounds[:-1]], seg_count)
-    # mode n rises over segment below[n] and falls over below[n] + 1
-    below = np.arange(m) + np.repeat(np.arange(len(groups)), np.diff(bounds))
+    seg_lo, seg_hi, below = basis.seg_lo, basis.seg_hi, basis.below
+    heads = [a for a, _ in basis.groups]
+    seg_counts = [b - a + 1 for a, b in basis.groups]
+    seg_x, seg_y = np.repeat(basis.x[heads], seg_counts), np.repeat(basis.y[heads], seg_counts)
 
     def integrals(
         centers: np.ndarray, rho: np.ndarray, rho_weights: np.ndarray, segs: slice
@@ -470,9 +472,10 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float) -> np.ndarray:
         c = coefs[src]
         return c[:, 0:1] * h[:-2] + c[:, 1:2] * h[1:-1] + c[:, 2:3] * h[2:]
 
-    for (a, b), e in zip(groups, edges):
+    for a, b in basis.groups:
         n_seg = b - a + 1
         own = slice(below[a], below[a] + n_seg)
+        e = np.append(seg_lo[own], seg_hi[own.stop - 1])  # the element's edges
         ring_rho = (2.0 * basis.radius[a] * np.sin(ring_phi / 2.0))[None, :]
         if _is_uniform(np.concatenate([w_lo[a:b], w_hi[a:b]]), zp[a:b]):
             # integrals at segment offset d from the first edge; the mirror
@@ -546,19 +549,18 @@ def _interpolate_to_segments(
 
 def solve_currents(
     matrix: np.ndarray,
-    grid: WireGrid,
+    basis: ModeBasis,
     frequency_hz: float,
     voltage: complex = 1.0 + 0j,
 ) -> CurrentSolution:
     """LU solve of the delta-gap excitation (V/feed_length in the gap row)."""
     f = _check_frequency(frequency_hz)
-    basis = mode_basis(grid)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"moment matrix must be square, got shape {matrix.shape}")
     if matrix.shape[0] != basis.n_modes:
         raise DomainError(
-            f"moment matrix size {matrix.shape[0]} does not match the grid's"
+            f"moment matrix size {matrix.shape[0]} does not match the basis's"
             f" {basis.n_modes} modes"
         )
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
@@ -583,27 +585,27 @@ def solve_currents(
     amplitudes = scipy.linalg.lu_solve((lu, piv), rhs)
     residual = float(np.linalg.norm(matrix @ amplitudes - rhs) / np.linalg.norm(rhs))
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
-    currents = _interpolate_to_segments(basis, amplitudes, grid, k)
+    currents = _interpolate_to_segments(basis, amplitudes, basis.grid, k)
     return CurrentSolution(
         currents=currents,
         amplitudes=amplitudes,
         basis=basis,
         excitation_voltage=complex(voltage),
         frequency_hz=f,
-        feed_index=int(grid.feed_segment),
         residual=residual,
     )
 
 
 def solve_grid(grid: WireGrid, frequency_hz: float, voltage: complex = 1.0 + 0j) -> CurrentSolution:
     """Fill and solve in one step for a grid's own feed segment."""
-    matrix = impedance_matrix(grid, frequency_hz)
-    return solve_currents(matrix, grid, frequency_hz, voltage)
+    basis = mode_basis(grid)
+    matrix = impedance_matrix(basis, frequency_hz)
+    return solve_currents(matrix, basis, frequency_hz, voltage)
 
 
 def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
     """Driving-point impedance V/I at the feed gap."""
-    i_feed = solution.currents[solution.feed_index]
+    i_feed = solution.currents[solution.basis.grid.feed_segment]
     if abs(i_feed) < 1e-15:
         raise SolverError("feed current vanished; input impedance is undefined")
     return ImpedanceResult(
@@ -615,42 +617,32 @@ def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
 
 def _axial_transforms(
     k: float, basis: ModeBasis, amplitudes: np.ndarray, cos_theta: np.ndarray
-) -> dict[tuple[float, float], np.ndarray]:
-    """Per-wire radiation integrals of the expansion, keyed by wire (x, y).
+) -> np.ndarray:
+    """Radiation integrals of the current on each element, shape (theta, element).
 
-    Each entry is integral of I(z) e^{jk cos(theta) z} dz over the wire,
-    evaluated with Gauss-Legendre per half-tent.
+    Each entry is integral of I(z) e^{jk cos(theta) z} dz over the element,
+    evaluated with Gauss-Legendre per split segment on the summed current:
+    the rising half of the mode that peaks at the segment's upper edge plus
+    the falling half of the mode that peaks at its lower edge.
     """
     nodes, weights = _gauss(_PATTERN_QUAD_ORDER)
-    sin_lo = np.sin(k * basis.w_lo)
-    sin_hi = np.sin(k * basis.w_hi)
-    u = cos_theta
-
-    def half(zlo: np.ndarray, zhi: np.ndarray, z_zero: np.ndarray, sign: float, sin_w: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (zhi + zlo)
-        halfw = 0.5 * (zhi - zlo)
-        zq = mid[:, None] + halfw[:, None] * nodes  # (m, q)
-        beta = np.sin(k * sign * (zq - z_zero[:, None])) / sin_w[:, None]
-        phase = np.exp(1j * k * u[:, None, None] * zq[None])  # (t, m, q)
-        return (beta[None] * phase * weights).sum(axis=-1) * halfw[None]
-
-    tents = half(basis.z_peak - basis.w_lo, basis.z_peak, basis.z_peak - basis.w_lo, 1.0, sin_lo)
-    tents = tents + half(basis.z_peak, basis.z_peak + basis.w_hi, basis.z_peak + basis.w_hi, -1.0, sin_hi)
-    out: dict[tuple[float, float], np.ndarray] = {}
-    for e in np.unique(basis.element):
-        sel = basis.element == e
-        key = (float(basis.x[sel][0]), float(basis.y[sel][0]))
-        profile = (tents[:, sel] * amplitudes[sel]).sum(axis=1)
-        if key in out:
-            out[key] = out[key] + profile
-        else:
-            out[key] = profile
-    return out
+    lo, hi, rise = basis.seg_lo, basis.seg_hi, basis.below
+    fall = rise + 1
+    half = 0.5 * (hi - lo)
+    z = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes  # (s, q)
+    amps = amplitudes[:, None]
+    current = np.zeros(z.shape, dtype=complex)
+    current[rise] += amps * np.sin(k * (z[rise] - lo[rise, None])) / np.sin(k * basis.w_lo)[:, None]
+    current[fall] += amps * np.sin(k * (hi[fall, None] - z[fall])) / np.sin(k * basis.w_hi)[:, None]
+    phase = np.exp(1j * k * cos_theta[:, None, None] * z[None])  # (t, s, q)
+    per_segment = np.einsum("tsq,sq->ts", phase, current * weights * half[:, None])
+    return np.add.reduceat(per_segment, rise[[a for a, _ in basis.groups]], axis=1)
 
 
 def _pattern_power(
     k: float,
-    profiles: dict[tuple[float, float], np.ndarray],
+    basis: ModeBasis,
+    axial: np.ndarray,
     cos_theta: np.ndarray,
     phi: np.ndarray,
 ) -> np.ndarray:
@@ -659,18 +651,14 @@ def _pattern_power(
     af = np.zeros((cos_theta.size, phi.size), dtype=complex)
     cos_phi = np.cos(phi)
     sin_phi = np.sin(phi)
-    for (x, y), axial in profiles.items():
-        radial = np.exp(1j * k * np.outer(sin_theta, x * cos_phi + y * sin_phi))
-        af += axial[:, None] * radial
+    for (a, _), profile in zip(basis.groups, axial.T):
+        radial = np.exp(1j * k * np.outer(sin_theta, basis.x[a] * cos_phi + basis.y[a] * sin_phi))
+        af += profile[:, None] * radial
     return (sin_theta[:, None] * np.abs(af)) ** 2
 
 
-def far_field(solution: CurrentSolution, grid: WireGrid, resolution_deg: float = 1.0) -> FarField:
-    """Directivity over the full sphere on a regular grid.
-
-    The gain normalization divides by radiated power computed with a
-    Gauss-Legendre quadrature that is independent of the sample grid.
-    """
+def _check_resolution(resolution_deg: float) -> int:
+    """Number of phi steps of a pattern grid; raises DomainError for a bad step."""
     if not (
         isinstance(resolution_deg, (int, float)) and math.isfinite(resolution_deg) and resolution_deg > 0
     ):
@@ -680,7 +668,16 @@ def far_field(solution: CurrentSolution, grid: WireGrid, resolution_deg: float =
         raise DomainError(
             f"resolution must divide 360 into an even number of steps, at least 2, got {resolution_deg}"
         )
-    n_phi = int(round(n_phi))
+    return int(round(n_phi))
+
+
+def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarField:
+    """Directivity over the full sphere on a regular grid.
+
+    The gain normalization divides by radiated power computed with a
+    Gauss-Legendre quadrature that is independent of the sample grid.
+    """
+    n_phi = _check_resolution(resolution_deg)
     n_theta = n_phi // 2 + 1
 
     k = 2.0 * math.pi * solution.frequency_hz / SPEED_OF_LIGHT
@@ -688,14 +685,15 @@ def far_field(solution: CurrentSolution, grid: WireGrid, resolution_deg: float =
 
     theta = np.linspace(0.0, 180.0, n_theta)
     phi = np.arange(n_phi) * resolution_deg
-    profiles = _axial_transforms(k, basis, solution.amplitudes, np.cos(np.radians(theta)))
-    power = _pattern_power(k, profiles, np.cos(np.radians(theta)), np.radians(phi))
+    cos_theta = np.cos(np.radians(theta))
+    axial = _axial_transforms(k, basis, solution.amplitudes, cos_theta)
+    power = _pattern_power(k, basis, axial, cos_theta, np.radians(phi))
 
     # radiated power from an independent spherical quadrature
     x_nodes, x_weights = _gauss(_POWER_THETA_ORDER)
     phi_q = (np.arange(_POWER_PHI_SAMPLES) + 0.5) * (2.0 * math.pi / _POWER_PHI_SAMPLES)
-    profiles_q = _axial_transforms(k, basis, solution.amplitudes, x_nodes)
-    power_q = _pattern_power(k, profiles_q, x_nodes, phi_q)
+    axial_q = _axial_transforms(k, basis, solution.amplitudes, x_nodes)
+    power_q = _pattern_power(k, basis, axial_q, x_nodes, phi_q)
     u_const = k**2 * ETA_0 / (32.0 * math.pi**2)
     p_rad = u_const * float(
         (x_weights[:, None] * power_q).sum() * (2.0 * math.pi / _POWER_PHI_SAMPLES)
@@ -732,12 +730,16 @@ def frequency_sweep(
     if not frequencies_hz:
         raise DomainError("frequency sweep needs at least one frequency")
     grid = segment(design, segs_per_element)
+    try:
+        _check_resolution(resolution_deg)
+    except DomainError as exc:
+        return [SweepPoint(float(f), None, None, str(exc)) for f in frequencies_hz]
     points: list[SweepPoint] = []
     for f in frequencies_hz:
         try:
             sol = solve_grid(grid, f)
             imp = input_impedance(sol)
-            ff = far_field(sol, grid, resolution_deg)
+            ff = far_field(sol, resolution_deg)
             points.append(SweepPoint(float(f), imp, ff.peak_gain_dbi(), None))
         except (DomainError, SolverError, GeometryError) as exc:
             points.append(SweepPoint(float(f), None, None, str(exc)))

@@ -66,20 +66,17 @@ def rule_from_string(name: str) -> DesignRule:
 
 @dataclass(frozen=True)
 class FrequencyPlan:
-    """Design frequency and the propagation constant bundle derived from it."""
+    """Design frequency and the wavelength derived from it."""
 
     f0_hz: float
-    c_m_per_s: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.f0_hz) or self.f0_hz <= 0:
             raise DomainError(f"design frequency must be positive and finite, got {self.f0_hz!r}")
-        if self.c_m_per_s <= 0:
-            raise DomainError("propagation speed must be positive")
 
     @property
     def wavelength_m(self) -> float:
-        return self.c_m_per_s / self.f0_hz
+        return SPEED_OF_LIGHT / self.f0_hz
 
 
 @dataclass(frozen=True)

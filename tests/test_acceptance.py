@@ -84,7 +84,7 @@ def test_dipole_solver_matches_analytic_impedance():
     sol = solve_grid(grid, F0)
     z51 = input_impedance(sol).z
     assert abs(z51 - oracle) / abs(oracle) < 0.15
-    ff = far_field(sol, grid, resolution_deg=1.0)
+    ff = far_field(sol, resolution_deg=1.0)
     assert ff.peak_gain_dbi() == pytest.approx(2.15, abs=0.4)
     assert ff.peak_direction()[0] == 90.0
     z = {}
@@ -102,12 +102,12 @@ def test_six_element_beam_gain_and_drive_impedance():
     sol = solve_grid(grid, F0)
     z = input_impedance(sol).z
     assert 14.0 <= z.real <= 34.0
-    ff = far_field(sol, grid, resolution_deg=1.0)
+    ff = far_field(sol, resolution_deg=1.0)
     peak = ff.peak_gain_dbi()
     assert 9.7 <= peak <= 12.7
     assert ff.peak_direction() == (90.0, 0.0)  # toward the directors
     sol_hi = solve_grid(grid, 960e6)
-    peak_hi = far_field(sol_hi, grid, resolution_deg=1.0).peak_gain_dbi()
+    peak_hi = far_field(sol_hi, resolution_deg=1.0).peak_gain_dbi()
     assert abs(peak_hi - peak) <= 1.2
     assert time.perf_counter() - t0 < 60.0
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -10,7 +11,8 @@ from yagilab import cli
 from yagilab.errors import DomainError, ParseError
 
 DATA_DIR = Path(__file__).parent / "data"
-BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
+BENCH_DIR = Path(__file__).parents[1] / "perfbench"
+BENCH_REFERENCE = BENCH_DIR / "reference.json"
 YAGI_CSV = DATA_DIR / "yagi_range_pattern.csv"
 HELIX_CSV = DATA_DIR / "helix_range_pattern.csv"
 
@@ -205,6 +207,20 @@ def test_simulate_with_resolution_below_two_steps_exits_one(tmp_path, capsys, re
     assert not out.exists()
 
 
+@pytest.mark.parametrize("diameter_m", [-0.005, math.nan])
+def test_simulate_rejects_a_bad_rod_diameter_in_the_design_file(tmp_path, capsys, diameter_m):
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    data = json.loads(design.read_text())
+    data["elements"][2]["diameter_m"] = diameter_m
+    design.write_text(json.dumps(data))
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "11", "--out", str(out), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "radius" in err
+    assert not out.exists()
+
+
 def test_output_dir_checked_before_compute(tmp_path):
     out = tmp_path / "nope" / "d.json"
     assert cli.run(["design", "--out", str(out)]) == 1
@@ -350,3 +366,32 @@ def test_sweep_band_matches_benchmark_reference(tmp_path):
         z, z_ref = complex(*got["impedance_ohm"]), complex(*want["impedance_ohm"])
         assert abs(z - z_ref) <= tol["impedance_rel"] * abs(z_ref)
         assert abs(got["gain_dbi"] - want["gain_dbi"]) <= tol["gain_db"]
+
+
+def test_traced_simulate_builds_one_mode_basis_per_solve(tmp_path):
+    """The benchmark's spans still open on the public fill and solve.
+
+    perfbench/spans.py records its spans by wrapping module attributes, so a
+    fill or solve that bypassed the public functions would read 0 in its
+    metrics. This installs its Tracer (reading the module only), runs one
+    coarse simulate and checks the per-layer figures the benchmark reports.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_spans", BENCH_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.op():
+            rc = cli.run(["simulate", "--design", str(design), "--segments", "7",
+                          "--resolution", "6", "--out", str(out), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    layer = {name: value for name, (value, _) in spans.per_layer(tracer.spans, 1, tracer.bytes_written).items()}
+    assert layer["em_solver.fill_entries"] > 0
+    assert layer["em_solver.mode_basis_calls_per_solve"] == 1
+    self_times = [layer[name] for name in spans.SELF_TIME_METRICS.values()]
+    assert math.isclose(sum(self_times), layer["trace.op_s.mean"], rel_tol=1e-9)

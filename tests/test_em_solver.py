@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_fill
+import far_field_halves
 import interpolation_loop
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
+from yagilab import em_solver
 from yagilab.em_solver import (
     WireGrid,
     _build_grid,
@@ -99,8 +101,8 @@ def test_dipole_impedance_against_analytic_reference(dipole51):
 
 
 def test_dipole_gain_and_pattern_shape(dipole51):
-    grid, sol = dipole51
-    ff = far_field(sol, grid, resolution_deg=1.0)
+    _, sol = dipole51
+    ff = far_field(sol, resolution_deg=1.0)
     assert ff.peak_gain_dbi() == pytest.approx(HALF_WAVE_DIPOLE_GAIN_DBI, abs=0.4)
     theta, _ = ff.peak_direction()
     assert theta == 90.0  # broadside to the wire axis
@@ -136,7 +138,7 @@ def test_solution_residual_is_tiny(dipole51):
 
 def test_default_matrix_is_exactly_symmetric():
     grid = dipole_grid(0.5 * LAM, 1e-4 * LAM, 11)
-    z = impedance_matrix(grid, F0)
+    z = impedance_matrix(mode_basis(grid), F0)
     assert np.array_equal(z, z.T)
 
 
@@ -146,7 +148,7 @@ def test_six_element_beam_regression():
     sol = solve_grid(grid, F0)
     z = input_impedance(sol).z
     assert 10.0 <= z.real <= 60.0
-    ff = far_field(sol, grid, resolution_deg=2.0)
+    ff = far_field(sol, resolution_deg=2.0)
     assert ff.peak_direction() == (90.0, 0.0)  # along the boom, toward the directors
     assert 8.0 <= ff.peak_gain_dbi() <= 13.0
 
@@ -163,17 +165,22 @@ def test_sweep_tags_failed_points():
 
 @pytest.mark.parametrize("resolution_deg", [math.inf, 1e300])
 def test_far_field_rejects_resolution_without_two_phi_steps(dipole51, resolution_deg):
-    grid, sol = dipole51
+    _, sol = dipole51
     with pytest.raises(DomainError, match="resolution"):
-        far_field(sol, grid, resolution_deg=resolution_deg)
+        far_field(sol, resolution_deg=resolution_deg)
 
 
-def test_sweep_tags_every_point_with_a_bad_resolution():
+def test_sweep_tags_every_point_with_a_bad_resolution(monkeypatch):
+    """The resolution is checked once, before any point is filled or solved."""
+    fills = []
+    fill = em_solver.impedance_matrix
+    monkeypatch.setattr(em_solver, "impedance_matrix", lambda *args: fills.append(args) or fill(*args))
     design = build_design("nbs", F0, 0.005)
     freqs = [850e6, 900e6, 950e6]
     points = frequency_sweep(design, freqs, segs_per_element=3, resolution_deg=math.inf)
     assert [p.frequency_hz for p in points] == freqs
     assert all(p.error is not None and "resolution" in p.error for p in points)
+    assert fills == []
 
 
 def test_sweep_rejects_empty_frequency_list():
@@ -183,8 +190,8 @@ def test_sweep_rejects_empty_frequency_list():
 
 
 def test_gain_lookup_on_and_off_grid(dipole51):
-    grid, sol = dipole51
-    ff = far_field(sol, grid, resolution_deg=5.0)
+    _, sol = dipole51
+    ff = far_field(sol, resolution_deg=5.0)
     assert ff.gain_at(90.0, 0.0) == ff.gain_dbi[18, 0]
     assert ff.gain_at(90.0, 360.0) == ff.gain_at(90.0, 0.0)  # phi wraps
     with pytest.raises(DomainError):
@@ -201,6 +208,19 @@ def test_grid_csv_layout():
     assert lines[1].split(",")[-1] == "0"
 
 
+@pytest.mark.parametrize("radius", [-1e-3, 0.0, math.nan, math.inf])
+def test_grid_rejects_non_positive_or_non_finite_radius(radius):
+    rows = [(0.0, 0.0, 0.5 * LAM, 1e-3, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3, 1)]
+    base = _build_grid(rows, 5, 0)
+    radii = base.radius.copy()
+    radii[5:] = radius
+    grid = WireGrid(base.start, base.end, radii, base.element, base.feed_segment)
+    message = f"segment 5 of element 1 has a non-positive or non-finite radius {radius!r}"
+    assert message in grid.validate()
+    with pytest.raises(GeometryError, match="segment 5 of element 1"):
+        solve_grid(grid, F0)
+
+
 def test_coincident_elements_rejected():
     rows = [
         (0.0, 0.0, 0.5 * LAM, 1e-4 * LAM, 0),
@@ -208,7 +228,7 @@ def test_coincident_elements_rejected():
     ]
     grid = _build_grid(rows, 11, 0)
     with pytest.raises(GeometryError):
-        impedance_matrix(grid, F0)
+        impedance_matrix(mode_basis(grid), F0)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +243,7 @@ def test_wire_spacing_reports_the_first_bad_pair(x2_radii, message):
     rows = [(0.0, 0.0, 0.5 * LAM, radius, 0), (3.0 * radius, 0.0, 0.5 * LAM, radius, 1)]
     rows.append((x2_radii * radius, 0.0, 0.5 * LAM, radius, 2))
     with pytest.raises(GeometryError, match=message):
-        impedance_matrix(_build_grid(rows, 11, 0), F0)
+        impedance_matrix(mode_basis(_build_grid(rows, 11, 0)), F0)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -260,7 +280,7 @@ def test_matrix_reciprocity_property(n_elements, segs, seg_len_frac, radius_frac
 
 def _oracle_defect(grid, f_hz):
     """Largest entry difference from the dense fill, relative to its largest entry."""
-    z = impedance_matrix(grid, f_hz)
+    z = impedance_matrix(mode_basis(grid), f_hz)
     ref = dense_fill.impedance_matrix(grid, f_hz)
     return np.max(np.abs(z - ref)) / np.max(np.abs(ref))
 
@@ -338,6 +358,21 @@ def test_toeplitz_trigger_on_segmented_beam(segs):
         assert _is_uniform(widths, basis.z_peak[sel]) == (e != driven)
 
 
+def test_mode_basis_segment_table():
+    """Each mode rises over segment below[n] and falls over the next, which meet at its peak."""
+    grid = segment(build_design("nbs", F0, 0.005), 11)
+    basis = mode_basis(grid)
+    rise, fall = basis.below, basis.below + 1
+    assert basis.grid is grid
+    assert basis.seg_lo.size == grid.n_segments + 1  # the feed segment is split
+    assert np.array_equal(basis.seg_hi[rise], basis.z_peak)
+    assert np.array_equal(basis.seg_lo[fall], basis.z_peak)
+    assert np.array_equal(basis.seg_hi[rise] - basis.seg_lo[rise], basis.w_lo)
+    assert np.array_equal(basis.seg_hi[fall] - basis.seg_lo[fall], basis.w_hi)
+    assert [set(basis.element[a:b]) for a, b in basis.groups] == [{e} for e in range(6)]
+    assert [b - a for a, b in basis.groups] == [10, 11, 10, 10, 10, 10]
+
+
 def test_nearly_uniform_element_is_not_taken_as_toeplitz():
     """Segments equal only to the validation tolerance still match the oracle.
 
@@ -374,5 +409,46 @@ def test_far_field_sphere_integral_property(length_frac, radius_frac, segs, reso
     lam = SPEED_OF_LIGHT / f_hz
     grid = dipole_grid(length_frac * lam, radius_frac * lam, segs)
     sol = solve_grid(grid, f_hz)
-    ff = far_field(sol, grid, resolution_deg=resolution_deg)
+    ff = far_field(sol, resolution_deg=resolution_deg)
     assert abs(ff.sphere_integral_linear_gain() / (4.0 * math.pi) - 1.0) < 0.02
+
+
+FAR_FIELD_CASES = (
+    [("dipole", 0.5, 51, 1.0), ("dipole", 1.1, 11, 3.0)]
+    + [(rule, 0.005, segs, 2.0) for rule in ("nbs", "balanis", "ycope") for segs in (7, 21, 41)]
+    + [("ycope", 0.002, 21, 1.0)]
+)
+
+
+@pytest.mark.parametrize("source, size, segs, resolution_deg", FAR_FIELD_CASES)
+def test_far_field_matches_half_tent_oracle(source, size, segs, resolution_deg):
+    """Sampling the summed current per segment reproduces the per-half-tent far field."""
+    if source == "dipole":
+        grid = dipole_grid(size * LAM, 1e-4 * LAM, segs)
+    else:
+        grid = segment(build_design(source, F0, size), segs)
+    sol = solve_grid(grid, F0)
+    got = far_field(sol, resolution_deg=resolution_deg)
+    want = far_field_halves.far_field(sol, grid, resolution_deg=resolution_deg)
+    directivity = 10.0 ** (want.gain_dbi / 10.0)
+    assert np.max(np.abs(10.0 ** (got.gain_dbi / 10.0) - directivity)) <= 1e-12 * np.max(directivity)
+    assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
+
+
+def test_single_segment_element_carries_no_mode():
+    """An element of one unsplit segment has no junction; fill and far field skip it."""
+    rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]
+    base = _build_grid(rows, 9, 0)
+    keep = np.r_[0:9, 13]  # the driven wire and one segment of the second
+    start, end = base.start[keep], base.end[keep]
+    start[-1, 2], end[-1, 2] = -0.05 * LAM, 0.05 * LAM
+    grid = WireGrid(start, end, base.radius[keep], base.element[keep], base.feed_segment)
+    basis = mode_basis(grid)
+    assert basis.groups == ((0, 9),)
+    assert np.array_equal(np.unique(basis.element), [0])
+    assert _oracle_defect(grid, F0) <= 1e-12
+    sol = solve_grid(grid, F0)
+    assert sol.currents[-1] == 0
+    got = far_field(sol, resolution_deg=5.0)
+    want = far_field_halves.far_field(sol, grid, resolution_deg=5.0)
+    assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
