@@ -38,27 +38,22 @@ def reflection_coefficient(z: complex, z_ref: float) -> complex:
     return (z - z_ref) / denom
 
 
-def _passive_gamma_mag(z: complex, z_ref: float) -> float:
-    mag = abs(reflection_coefficient(z, z_ref))
-    if mag >= 1.0:
-        raise DomainError(
-            f"|reflection| = {mag:.6g} >= 1 for z = {z!r} against {z_ref} ohm; load is not passive"
-        )
-    return mag
+def _vswr_of(mag: float) -> float:
+    return (1.0 + mag) / (1.0 - mag)
+
+
+def _return_loss_of(mag: float) -> float:
+    return math.inf if mag == 0.0 else -20.0 * math.log10(mag)
 
 
 def vswr(z: complex, z_ref: float = DEFAULT_REFERENCE_OHM) -> float:
     """Standing-wave ratio (1 + |Gamma|) / (1 - |Gamma|); 1.0 means matched."""
-    mag = _passive_gamma_mag(z, z_ref)
-    return (1.0 + mag) / (1.0 - mag)
+    return reflection_report(z, z_ref).vswr
 
 
 def return_loss_db(z: complex, z_ref: float = DEFAULT_REFERENCE_OHM) -> float:
     """-20 log10 |Gamma| in dB; a perfect match reports math.inf."""
-    mag = _passive_gamma_mag(z, z_ref)
-    if mag == 0.0:
-        return math.inf
-    return -20.0 * math.log10(mag)
+    return reflection_report(z, z_ref).return_loss_db
 
 
 def gamma_mag_from_vswr(s: float) -> float:
@@ -70,18 +65,14 @@ def gamma_mag_from_vswr(s: float) -> float:
 
 def return_loss_from_vswr(s: float) -> float:
     """Return loss equivalent to a VSWR reading; math.inf at s = 1."""
-    mag = gamma_mag_from_vswr(s)
-    if mag == 0.0:
-        return math.inf
-    return -20.0 * math.log10(mag)
+    return _return_loss_of(gamma_mag_from_vswr(s))
 
 
 def vswr_from_return_loss(rl_db: float) -> float:
     """VSWR equivalent to a return-loss reading in dB (must be > 0)."""
     if not rl_db > 0:
         raise DomainError(f"return loss must be positive dB, got {rl_db!r}")
-    mag = 10.0 ** (-rl_db / 20.0)
-    return (1.0 + mag) / (1.0 - mag)
+    return _vswr_of(10.0 ** (-rl_db / 20.0))
 
 
 @dataclass(frozen=True)
@@ -100,15 +91,17 @@ class ReflectionReport:
 
 
 def reflection_report(z: complex, z_ref: float = DEFAULT_REFERENCE_OHM) -> ReflectionReport:
+    """Gamma, VSWR and return loss of a passive load (|Gamma| < 1)."""
     gamma = reflection_coefficient(z, z_ref)
     mag = abs(gamma)
     if mag >= 1.0:
-        raise DomainError(f"|reflection| = {mag:.6g} >= 1; load is not passive")
-    rl = math.inf if mag == 0.0 else -20.0 * math.log10(mag)
+        raise DomainError(
+            f"|reflection| = {mag:.6g} >= 1 for z = {z!r} against {z_ref} ohm; load is not passive"
+        )
     return ReflectionReport(
         gamma=gamma,
-        vswr=(1.0 + mag) / (1.0 - mag),
-        return_loss_db=rl,
+        vswr=_vswr_of(mag),
+        return_loss_db=_return_loss_of(mag),
         z=complex(z),
         z_ref=z_ref,
     )
@@ -126,15 +119,10 @@ class BandwidthReport:
 def _vswr_capped(z: complex, z_ref: float) -> float:
     # Tolerant per-point VSWR for band search: reflective, resonant, or
     # non-finite points count as "far above any limit" rather than erroring.
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    try:
+        return min(vswr(z, z_ref), _VSWR_CAP)
+    except DomainError:
         return _VSWR_CAP
-    denom = z + z_ref
-    if denom == 0:
-        return _VSWR_CAP
-    mag = abs((z - z_ref) / denom)
-    if mag >= 1.0:
-        return _VSWR_CAP
-    return min((1.0 + mag) / (1.0 - mag), _VSWR_CAP)
 
 
 def _crossing(f1: float, v1: float, f2: float, v2: float, limit: float) -> float:

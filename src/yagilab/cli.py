@@ -11,6 +11,7 @@ domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from typing import Sequence
 from . import __version__, analysis, em_solver, geometry, matching
 from .analysis import PatternUnit, RadiationPatternData
 from .errors import DomainError, ParseError, YagilabError
-from .geometry import atomic_write_text
+from .geometry import atomic_write_text, read_text
 
 
 class _UsageError(Exception):
@@ -86,21 +87,6 @@ def _jsonable(obj):
     return obj
 
 
-def emit_json(data: dict, out_path: str | None, quiet: bool) -> None:
-    text = json.dumps(_jsonable(data), indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    atomic_write_text(out_path, text)
-    if not quiet:
-        print(f"wrote {out_path}", file=sys.stderr)
-
-
-def _check_input_path(path: str) -> None:
-    if not os.path.isfile(path):
-        raise DomainError(f"input file not found: {path}")
-
-
 def _check_output_path(path: str | None) -> None:
     if path is None:
         return
@@ -110,26 +96,36 @@ def _check_output_path(path: str | None) -> None:
 
 
 def _read_json(path: str) -> dict:
-    _check_input_path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+        data = json.loads(read_text(path))
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _finite_number(value) -> float | None:
+    # A JSON number (not a boolean) as a finite float, else None.
+    if type(value) not in (int, float):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _impedance_pair(path: str, pair) -> complex:
+    if isinstance(pair, list) and len(pair) == 2:
+        re, im = (_finite_number(v) for v in pair)
+        if re is not None and im is not None:
+            return complex(re, im)
+    raise DomainError(f"{path}: impedance_ohm must be [re, im] with two finite numbers, got {pair!r}")
 
 
 def _impedance_from_file(path: str) -> complex:
-    data = _read_json(path)
-    pair = data.get("impedance_ohm")
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
-    ):
-        raise DomainError(f"{path}: expected an impedance_ohm [re, im] entry")
-    return complex(pair[0], pair[1])
+    return _impedance_pair(path, _read_json(path).get("impedance_ohm"))
 
 
 # -- pattern CSV ------------------------------------------------------------
@@ -139,12 +135,7 @@ PATTERN_CSV_HEADER = "angle_deg,value"
 
 def parse_pattern_csv(path: str, unit: PatternUnit | str) -> RadiationPatternData:
     """Read an angle/value CSV; rows are sorted by angle on ingest."""
-    _check_input_path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != PATTERN_CSV_HEADER:
         raise ParseError(f"{path}:1: header must be exactly '{PATTERN_CSV_HEADER}'")
     rows: list[tuple[float, float]] = []
@@ -179,21 +170,13 @@ _SVG_RADIUS = 200.0
 # sits strictly inside.
 _PEAK_FRACTION = 0.92
 _DB_DOWN_SPAN_DB = 40.0
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def _polar_xy(angle_deg: float, radius: float) -> tuple[float, float]:
     # compass layout: 0 deg straight up, angles increase clockwise
     t = math.radians(angle_deg)
     return _SVG_CENTER + radius * math.sin(t), _SVG_CENTER - radius * math.cos(t)
-
-
-def _xml_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
 
 
 def render_polar_svg(pattern: RadiationPatternData, scale: str = "linear") -> str:
@@ -232,7 +215,7 @@ def render_polar_svg(pattern: RadiationPatternData, scale: str = "linear") -> st
     else:
         raise DomainError(f"unknown radial scale {scale!r}; expected linear or db-down")
 
-    title = _xml_escape(pattern.label or "radiation pattern")
+    title = (pattern.label or "radiation pattern").translate(_XML_ESCAPES)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
         f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}" role="img">',
@@ -284,36 +267,17 @@ def render_polar_svg(pattern: RadiationPatternData, scale: str = "linear") -> st
     return "\n".join(parts) + "\n"
 
 
-def emit_polar_svg(
-    pattern: RadiationPatternData,
-    scale: str,
-    path: str | None,
-    quiet: bool = True,
-) -> None:
-    """Render and write the polar plot; nothing is written on a render error."""
-    _check_output_path(path)
-    svg = render_polar_svg(pattern, scale)
-    if path is None:
-        sys.stdout.write(svg)
-        return
-    atomic_write_text(path, svg)
-    if not quiet:
-        print(f"wrote {path}", file=sys.stderr)
-
-
 # -- command handlers --------------------------------------------------------
+# Each handler computes and returns its payload dict (or SVG text); run
+# checks the output path first and writes the result once.
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
-    _check_output_path(args.out)
+def _cmd_design(args: argparse.Namespace) -> dict:
     design = geometry.build_design(args.rule, args.freq_mhz * 1e6, args.diameter_mm * 1e-3)
-    emit_json(geometry.design_to_dict(design), args.out, args.quiet)
-    return 0
+    return geometry.design_to_dict(design)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_input_path(args.design)
-    _check_output_path(args.out)
+def _cmd_simulate(args: argparse.Namespace) -> dict:
     design = geometry.load_design(args.design)
     segs = args.segments
 
@@ -321,7 +285,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         freqs = parse_sweep_mhz(args.sweep)
         res = args.resolution if args.resolution is not None else 2.0
         points = em_solver.frequency_sweep(design, freqs, segs, res)
-        payload = {
+        return {
             "rule": design.rule.value,
             "segments_per_element": segs,
             "resolution_deg": res,
@@ -335,25 +299,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 for p in points
             ],
         }
-    else:
-        res = args.resolution if args.resolution is not None else 1.0
-        grid = em_solver.segment(design, segs)
-        solution = em_solver.solve_grid(grid, design.plan.f0_hz)
-        imp = em_solver.input_impedance(solution)
-        field = em_solver.far_field(solution, res)
-        theta, phi = field.peak_direction()
-        payload = {
-            "rule": design.rule.value,
-            "frequency_hz": design.plan.f0_hz,
-            "segments_per_element": segs,
-            "resolution_deg": res,
-            "impedance_ohm": imp.z,
-            "gain_dbi": field.peak_gain_dbi(),
-            "peak_theta_deg": theta,
-            "peak_phi_deg": phi,
-        }
-    emit_json(payload, args.out, args.quiet)
-    return 0
+    res = args.resolution if args.resolution is not None else 1.0
+    grid = em_solver.segment(design, segs)
+    solution = em_solver.solve_grid(grid, design.plan.f0_hz)
+    imp = em_solver.input_impedance(solution)
+    field = em_solver.far_field(solution, res)
+    theta, phi = field.peak_direction()
+    return {
+        "rule": design.rule.value,
+        "frequency_hz": design.plan.f0_hz,
+        "segments_per_element": segs,
+        "resolution_deg": res,
+        "impedance_ohm": imp.z,
+        "gain_dbi": field.peak_gain_dbi(),
+        "peak_theta_deg": theta,
+        "peak_phi_deg": phi,
+    }
 
 
 def _resolve_za(args: argparse.Namespace) -> complex:
@@ -362,8 +323,7 @@ def _resolve_za(args: argparse.Namespace) -> complex:
     return _impedance_from_file(args.za_file)
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
-    _check_output_path(args.out)
+def _cmd_match(args: argparse.Namespace) -> dict:
     za = _resolve_za(args)
     f0_hz = args.freq_mhz * 1e6
 
@@ -397,9 +357,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     else:
         raise _UsageError("give either --a-mm/--arod-mm/--s-mm or --u/--v/--z0")
 
-    payload = {"za_ohm": za, **matching.matching_report_dict(solution)}
-    emit_json(payload, args.out, args.quiet)
-    return 0
+    return {"za_ohm": za, **matching.matching_report_dict(solution)}
 
 
 def _sweep_from_file(path: str) -> list[tuple[float, complex]]:
@@ -411,17 +369,17 @@ def _sweep_from_file(path: str) -> list[tuple[float, complex]]:
     for entry in points:
         if not isinstance(entry, dict) or "frequency_hz" not in entry:
             raise DomainError(f"{path}: sweep entries need a frequency_hz")
+        frequency_hz = _finite_number(entry["frequency_hz"])
+        if frequency_hz is None:
+            raise DomainError(f"{path}: frequency_hz must be a finite number, got {entry['frequency_hz']!r}")
         pair = entry.get("impedance_ohm")
         if pair is None:
             continue  # point failed in the solver; skip, keep the rest
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DomainError(f"{path}: impedance_ohm entries must be [re, im]")
-        pairs.append((float(entry["frequency_hz"]), complex(pair[0], pair[1])))
+        pairs.append((frequency_hz, _impedance_pair(path, pair)))
     return pairs
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    _check_output_path(args.out)
+def _cmd_analyze(args: argparse.Namespace) -> dict:
     if args.za is None and args.za_file is None and args.sweep_file is None and args.pattern is None:
         raise _UsageError("nothing to analyze: give --za/--za-file, --sweep-file or --pattern")
 
@@ -431,19 +389,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     sweep = _sweep_from_file(args.sweep_file) if args.sweep_file else None
     pattern = parse_pattern_csv(args.pattern, PatternUnit.METERS) if args.pattern else None
 
-    report = analysis.analysis_report(
+    return analysis.analysis_report(
         z=z,
         z_ref=args.zref,
         sweep=sweep,
         vswr_limit=args.vswr_limit,
         range_pattern=pattern,
     )
-    emit_json(report, args.out, args.quiet)
-    return 0
 
 
-def _cmd_range(args: argparse.Namespace) -> int:
-    _check_output_path(args.out)
+def _cmd_range(args: argparse.Namespace) -> dict:
     frequency_hz = args.freq_mhz * 1e6
     threshold = args.threshold_dbm
     if threshold is None:
@@ -462,7 +417,7 @@ def _cmd_range(args: argparse.Namespace) -> int:
         frequency_hz=frequency_hz,
     )
     estimate = analysis.jamming_range(model, args.gain_dbi)
-    payload = {
+    return {
         "gain_dbi": args.gain_dbi,
         "eirp_dbm": model.eirp_dbm,
         "threshold_dbm": model.threshold_dbm,
@@ -471,15 +426,12 @@ def _cmd_range(args: argparse.Namespace) -> int:
         "range_m": estimate.distance_m,
         "below_reference": estimate.below_reference,
     }
-    emit_json(payload, args.out, args.quiet)
-    return 0
 
 
-def _cmd_pattern_stats(args: argparse.Namespace) -> int:
-    _check_output_path(args.out)
+def _cmd_pattern_stats(args: argparse.Namespace) -> dict:
     pattern = parse_pattern_csv(args.input_path, args.unit)
     stats = analysis.pattern_stats(pattern)
-    payload = {
+    return {
         "label": pattern.label,
         "unit": pattern.unit.value,
         "samples": len(pattern.samples),
@@ -490,17 +442,14 @@ def _cmd_pattern_stats(args: argparse.Namespace) -> int:
         "mean_value": stats.mean_value,
         "front_to_back_db": stats.front_to_back_db,
     }
-    emit_json(payload, args.out, args.quiet)
-    return 0
 
 
-def _cmd_pattern_plot(args: argparse.Namespace) -> int:
+def _cmd_pattern_plot(args: argparse.Namespace) -> str:
     pattern = parse_pattern_csv(args.input_path, args.unit)
     scale = args.scale
     if scale is None:
         scale = "db-down" if pattern.unit is PatternUnit.DBI else "linear"
-    emit_polar_svg(pattern, scale, args.out, args.quiet)
-    return 0
+    return render_polar_svg(pattern, scale)
 
 
 # -- parser ------------------------------------------------------------------
@@ -544,12 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", parents=[common], help="gamma-match the driven element to a line")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--za", help="antenna impedance as R+Xj, e.g. 24+3.73j")
-    group.add_argument("--za-file", dest="za_file", metavar="PATH", help="simulate output JSON")
+    group.add_argument("--za-file", metavar="PATH", help="simulate output JSON")
     p.add_argument("--rod-lambda", type=float, required=True, help="gamma rod length in wavelengths")
     p.add_argument("--freq-mhz", type=float, default=900.0, help="operating frequency (default 900)")
-    p.add_argument("--a-mm", dest="a_mm", type=float, help="driven element radius, mm")
-    p.add_argument("--arod-mm", dest="arod_mm", type=float, help="gamma rod radius, mm")
-    p.add_argument("--s-mm", dest="s_mm", type=float, help="center-to-center rod spacing, mm")
+    p.add_argument("--a-mm", type=float, help="driven element radius, mm")
+    p.add_argument("--arod-mm", type=float, help="gamma rod radius, mm")
+    p.add_argument("--s-mm", type=float, help="center-to-center rod spacing, mm")
     p.add_argument("--u", type=float, help="explicit radius ratio (thicker/thinner)")
     p.add_argument("--v", type=float, help="explicit spacing over thinner radius")
     p.add_argument("--z0", type=float, help="explicit two-wire line impedance, ohm")
@@ -558,12 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="VSWR, bandwidth and range statistics")
     p.add_argument("--za", help="impedance as R+Xj")
-    p.add_argument("--za-file", dest="za_file", metavar="PATH", help="simulate output JSON")
+    p.add_argument("--za-file", metavar="PATH", help="simulate output JSON")
     p.add_argument("--zref", type=float, default=50.0, help="reference impedance (default 50)")
-    p.add_argument("--sweep-file", dest="sweep_file", metavar="PATH", help="simulate --sweep output")
+    p.add_argument("--sweep-file", metavar="PATH", help="simulate --sweep output")
     p.add_argument(
         "--vswr-limit",
-        dest="vswr_limit",
         type=float,
         default=analysis.DEFAULT_VSWR_LIMIT,
         help="bandwidth VSWR limit (default %(default)s)",
@@ -572,11 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("range", parents=[common], help="jamming range from antenna gain")
-    p.add_argument("--gain-dbi", dest="gain_dbi", type=float, required=True, help="antenna gain")
-    p.add_argument("--eirp-dbm", dest="eirp_dbm", type=float, default=analysis.DEFAULT_EIRP_DBM)
+    p.add_argument("--gain-dbi", type=float, required=True, help="antenna gain")
+    p.add_argument("--eirp-dbm", type=float, default=analysis.DEFAULT_EIRP_DBM)
     p.add_argument(
         "--threshold-dbm",
-        dest="threshold_dbm",
         type=float,
         default=None,
         help="blocking threshold (default: calibrated so a -0.8 dBi baseline reaches 4 m)",
@@ -593,14 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pattern", help="pattern file statistics and polar plots")
     psub = p.add_subparsers(dest="pattern_command", required=True, metavar="SUBCOMMAND")
 
-    ps = psub.add_parser("stats", parents=[common], help="max/min/mean of a pattern CSV")
-    ps.add_argument("--in", dest="input_path", required=True, metavar="PATH", help="pattern CSV")
-    ps.add_argument("--unit", choices=[u.value for u in PatternUnit], default="meters")
+    pattern_in = argparse.ArgumentParser(add_help=False)
+    pattern_in.add_argument("--in", dest="input_path", required=True, metavar="PATH", help="pattern CSV")
+    pattern_in.add_argument("--unit", choices=[u.value for u in PatternUnit], default="meters")
+
+    ps = psub.add_parser("stats", parents=[common, pattern_in], help="max/min/mean of a pattern CSV")
     ps.set_defaults(handler=_cmd_pattern_stats)
 
-    pp = psub.add_parser("plot", parents=[common], help="polar SVG of a pattern CSV")
-    pp.add_argument("--in", dest="input_path", required=True, metavar="PATH", help="pattern CSV")
-    pp.add_argument("--unit", choices=[u.value for u in PatternUnit], default="meters")
+    pp = psub.add_parser("plot", parents=[common, pattern_in], help="polar SVG of a pattern CSV")
     pp.add_argument(
         "--scale",
         choices=["linear", "db-down"],
@@ -612,23 +559,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the tree untouched, so one tree serves every run in a process.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv and dispatch; returns the process exit status."""
-    parser = build_parser()
+    """Parse argv, dispatch and write the result; returns the process exit status.
+
+    Nothing is written when the output directory is missing or the handler
+    fails, so a failed run never leaves a partial output file.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        return args.handler(args)
+        _check_output_path(args.out)
+        result = args.handler(args)
+        text = result if isinstance(result, str) else json.dumps(_jsonable(result), indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            atomic_write_text(args.out, text)
+            if not args.quiet:
+                print(f"wrote {args.out}", file=sys.stderr)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except YagilabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (YagilabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -268,6 +268,10 @@ def _build_grid(rows: list[tuple[float, float, float, float, int]], segs: int, f
     """rows: (x, y, length, radius, element_index) per element."""
     starts, ends, radii, owners = [], [], [], []
     for x, y, length, radius, index in rows:
+        if not (math.isfinite(length) and length > 0):
+            raise GeometryError(f"element {index}: rod length must be positive and finite, got {float(length)!r} m")
+        if not (math.isfinite(radius) and radius > 0):
+            raise GeometryError(f"element {index}: rod radius must be positive and finite, got {float(radius)!r} m")
         seg_len = length / segs
         if seg_len <= radius:
             raise DiscretizationError(
@@ -306,8 +310,6 @@ def segment(design: YagiDesign, segs_per_element: int = DEFAULT_SEGMENTS_PER_ELE
 
 def dipole_grid(length_m: float, radius_m: float, segments: int) -> WireGrid:
     """Single center-fed straight wire on the z axis."""
-    if length_m <= 0 or radius_m <= 0:
-        raise DomainError("dipole length and radius must be positive")
     segs = _check_segment_count(segments)
     return _build_grid([(0.0, 0.0, length_m, radius_m, 0)], segs, 0)
 

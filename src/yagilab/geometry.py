@@ -301,11 +301,23 @@ def save_design(design: YagiDesign, path: str) -> None:
 
 def load_design(path: str) -> YagiDesign:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+        data = json.loads(read_text(path))
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
     return design_from_dict(data)
+
+
+def read_text(path: str) -> str:
+    """Whole UTF-8 text of an input file; every failure is a YagilabError."""
+    if not os.path.isfile(path):
+        raise DomainError(f"input file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

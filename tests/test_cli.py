@@ -395,3 +395,118 @@ def test_traced_simulate_builds_one_mode_basis_per_solve(tmp_path):
     assert layer["em_solver.mode_basis_calls_per_solve"] == 1
     self_times = [layer[name] for name in spans.SELF_TIME_METRICS.values()]
     assert math.isclose(sum(self_times), layer["trace.op_s.mean"], rel_tol=1e-9)
+
+
+# --- golden bytes ---
+
+GOLDEN = json.loads((DATA_DIR / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_cli_output_matches_golden_bytes(tmp_path, capsys, case):
+    """Exit code, stdout, stderr and every written file, byte for byte.
+
+    Each case lists its argv and input files; {tmp} stands for the run's
+    temporary directory and {data} for tests/data.
+    """
+    for name, text in case.get("files", {}).items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{data}", str(DATA_DIR)) for a in case["argv"]]
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    written = {
+        p.name: p.read_text().replace(str(tmp_path), "{tmp}")
+        for p in sorted(tmp_path.iterdir())
+        if p.name not in case.get("files", {})
+    }
+    assert code == case["exit"]
+    assert out.replace(str(tmp_path), "{tmp}") == case["stdout"]
+    assert err.replace(str(tmp_path), "{tmp}") == case["stderr"]
+    assert written == case.get("written", {})
+
+
+def test_reused_parser_keeps_no_state_between_runs(capsys):
+    """One parser serves every run: a flag given once must not reach the next run."""
+    explicit = ["match", "--za", "24+3.73j", "--u", "1.46", "--v", "6.88", "--z0", "209",
+                "--alpha", "1.3", "--rod-lambda", "0.099", "--quiet"]
+    physical = ["match", "--za", "24+3.73j", "--a-mm", "2.5", "--arod-mm", "3.65",
+                "--s-mm", "17.2", "--rod-lambda", "0.099", "--quiet"]
+    assert cli.run(explicit) == 0
+    assert cli.run(physical) == 0
+    assert "usage error" not in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+
+
+# --- bad input files ---
+
+
+def _assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("length_m", [-0.12, 0.0, math.nan, math.inf])
+def test_simulate_rejects_a_bad_rod_length_in_the_design_file(tmp_path, capsys, length_m):
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    data = json.loads(design.read_text())
+    data["elements"][2]["length_m"] = length_m
+    design.write_text(json.dumps(data))
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "11", "--out", str(out), "--quiet"])
+    assert rc == 1
+    _assert_one_error_line(capsys, "element 2", "rod length", repr(length_m))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps([30.0, 29.0]),
+        json.dumps({"impedance_ohm": [math.nan, 1.0]}),
+        json.dumps({"impedance_ohm": [30.0, math.inf]}),
+        json.dumps({"impedance_ohm": [True, 1.0]}),
+        json.dumps({"impedance_ohm": ["30", 1.0]}),
+        '{"impedance_ohm": [1' + "0" * 400 + ", 1.0]}",  # a JSON integer beyond any float
+        '{"impedance_ohm": [1' + "0" * 5000 + ", 1.0]}",  # too long for int() to convert
+    ],
+    ids=["list", "nan", "inf", "bool", "string", "huge-int", "overlong-int"],
+)
+def test_match_rejects_a_bad_za_file(tmp_path, capsys, text):
+    za, out = tmp_path / "za.json", tmp_path / "m.json"
+    za.write_text(text)
+    rc = cli.run(["match", "--za-file", str(za), "--a-mm", "2.5", "--arod-mm", "3.65",
+                  "--s-mm", "17.2", "--rod-lambda", "0.099", "--out", str(out), "--quiet"])
+    assert rc == 1
+    _assert_one_error_line(capsys, str(za))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [{"frequency_hz": 900e6, "impedance_ohm": [50.0, 0.0]}],
+        {"sweep": [{"frequency_hz": 900e6, "impedance_ohm": ["a", 1]}]},
+        {"sweep": [{"frequency_hz": 900e6, "impedance_ohm": [50.0, False]}]},
+        {"sweep": [{"frequency_hz": "x", "impedance_ohm": [50.0, 0.0]}]},
+        {"sweep": [{"frequency_hz": math.nan, "impedance_ohm": None}]},
+        {"sweep": [{"frequency_hz": True, "impedance_ohm": [50.0, 0.0]}]},
+    ],
+    ids=["list", "string-pair", "bool-pair", "string-frequency", "nan-frequency", "bool-frequency"],
+)
+def test_analyze_rejects_a_bad_sweep_file(tmp_path, capsys, document):
+    sweep, out = tmp_path / "sweep.json", tmp_path / "a.json"
+    sweep.write_text(json.dumps(document))
+    rc = cli.run(["analyze", "--sweep-file", str(sweep), "--out", str(out), "--quiet"])
+    assert rc == 1
+    _assert_one_error_line(capsys, str(sweep))
+    assert not out.exists()
+
+
+def test_pattern_csv_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes("angle_deg,value\n0,1.0\n# mètres\n".encode("latin-1"))
+    rc = cli.run(["pattern", "stats", "--in", str(csv)])
+    assert rc == 1
+    _assert_one_error_line(capsys, str(csv), "UTF-8")
