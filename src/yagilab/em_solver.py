@@ -169,14 +169,14 @@ class ModeBasis:
 
 @dataclass(frozen=True, eq=False)
 class CurrentSolution:
-    """Segment currents produced by one delta-gap solve.
+    """Mode currents produced by one delta-gap solve.
 
-    currents holds one sample per grid segment (the expansion evaluated at
-    segment centers); amplitudes holds the raw junction-mode coefficients the
-    linear solve produced, paired with basis.
+    amplitudes holds the junction-mode coefficients the linear solve
+    produced, paired with basis: mode n carries amplitudes[n] amps at its
+    peak. The current anywhere on a wire is the sum of the sinusoidal modes
+    over it; no per-segment samples are kept.
     """
 
-    currents: np.ndarray  # (n,) complex amps, one per segment
     amplitudes: np.ndarray  # (m,) complex junction-mode coefficients
     basis: ModeBasis
     excitation_voltage: complex
@@ -188,7 +188,6 @@ class CurrentSolution:
 class ImpedanceResult:
     z: complex
     frequency_hz: float
-    segment_count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +267,9 @@ def _build_grid(rows: list[tuple[float, float, float, float, int]], segs: int, f
     """rows: (x, y, length, radius, element_index) per element."""
     starts, ends, radii, owners = [], [], [], []
     for x, y, length, radius, index in rows:
+        for axis, coord in (("x", x), ("y", y)):
+            if not math.isfinite(coord):
+                raise GeometryError(f"element {index}: rod {axis} position must be finite, got {float(coord)!r} m")
         if not (math.isfinite(length) and length > 0):
             raise GeometryError(f"element {index}: rod length must be positive and finite, got {float(length)!r} m")
         if not (math.isfinite(radius) and radius > 0):
@@ -522,33 +524,6 @@ def _check_wire_spacing(basis: ModeBasis) -> None:
         raise GeometryError(f"elements {e} and {o} overlap (axis spacing {d[i]:.4g} m)")
 
 
-def _interpolate_to_segments(
-    basis: ModeBasis, amplitudes: np.ndarray, grid: WireGrid, k: float
-) -> np.ndarray:
-    """Evaluate the sinusoidal expansion at every segment center.
-
-    A center takes the terms of the modes on its element whose support holds
-    it, summed in mode order.
-    """
-    zc = grid.centers[:, 2]
-    z0 = basis.z_peak[:, None]
-    lo = z0 - basis.w_lo[:, None]
-    hi = z0 + basis.w_hi[:, None]
-    same = basis.element[:, None] == grid.element[None, :]
-    rising = same & (zc >= lo) & (zc <= z0)
-    falling = same & (zc > z0) & (zc <= hi)
-    mode, seg = np.nonzero(rising | falling)
-    z = zc[seg]
-    beta = np.where(
-        rising[mode, seg],
-        np.sin(k * (z - lo[mode, 0])) / np.sin(k * basis.w_lo[mode]),
-        np.sin(k * (hi[mode, 0] - z)) / np.sin(k * basis.w_hi[mode]),
-    )
-    currents = np.zeros(grid.n_segments, dtype=complex)
-    np.add.at(currents, seg, amplitudes[mode] * beta)
-    return currents
-
-
 def solve_currents(
     matrix: np.ndarray,
     basis: ModeBasis,
@@ -586,10 +561,7 @@ def solve_currents(
         )
     amplitudes = scipy.linalg.lu_solve((lu, piv), rhs)
     residual = float(np.linalg.norm(matrix @ amplitudes - rhs) / np.linalg.norm(rhs))
-    k = 2.0 * math.pi * f / SPEED_OF_LIGHT
-    currents = _interpolate_to_segments(basis, amplitudes, basis.grid, k)
     return CurrentSolution(
-        currents=currents,
         amplitudes=amplitudes,
         basis=basis,
         excitation_voltage=complex(voltage),
@@ -606,15 +578,15 @@ def solve_grid(grid: WireGrid, frequency_hz: float, voltage: complex = 1.0 + 0j)
 
 
 def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
-    """Driving-point impedance V/I at the feed gap."""
-    i_feed = solution.currents[solution.basis.grid.feed_segment]
+    """Driving-point impedance V/I at the feed gap.
+
+    The feed mode peaks at the gap and every other mode is zero there, so
+    the gap current is the feed mode's amplitude.
+    """
+    i_feed = solution.amplitudes[solution.basis.feed_mode]
     if abs(i_feed) < 1e-15:
         raise SolverError("feed current vanished; input impedance is undefined")
-    return ImpedanceResult(
-        z=complex(solution.excitation_voltage / i_feed),
-        frequency_hz=solution.frequency_hz,
-        segment_count=int(solution.currents.size),
-    )
+    return ImpedanceResult(z=complex(solution.excitation_voltage / i_feed), frequency_hz=solution.frequency_hz)
 
 
 def _axial_transforms(
@@ -746,19 +718,3 @@ def frequency_sweep(
         except (DomainError, SolverError, GeometryError) as exc:
             points.append(SweepPoint(float(f), None, None, str(exc)))
     return points
-
-
-GRID_CSV_HEADER = "x1,y1,z1,x2,y2,z2,radius_m,element_index"
-
-
-def grid_to_csv(grid: WireGrid) -> str:
-    """One row per segment; floats use repr so re-reading is lossless."""
-    lines = [GRID_CSV_HEADER]
-    for i in range(grid.n_segments):
-        x1, y1, z1 = grid.start[i]
-        x2, y2, z2 = grid.end[i]
-        lines.append(
-            f"{x1!r},{y1!r},{z1!r},{x2!r},{y2!r},{z2!r},"
-            f"{grid.radius[i]!r},{int(grid.element[i])}"
-        )
-    return "\n".join(lines) + "\n"

@@ -460,6 +460,19 @@ def test_simulate_rejects_a_bad_rod_length_in_the_design_file(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("position_m", [math.nan, math.inf])
+def test_simulate_rejects_a_bad_rod_position_in_the_design_file(tmp_path, capsys, position_m):
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    data = json.loads(design.read_text())
+    data["elements"][3]["position_m"] = position_m
+    design.write_text(json.dumps(data))
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "11", "--out", str(out), "--quiet"])
+    assert rc == 1
+    _assert_one_error_line(capsys, "element 3", "position", repr(position_m))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 import dense_fill
 import far_field_halves
-import interpolation_loop
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
 from yagilab import em_solver
 from yagilab.em_solver import (
     WireGrid,
     _build_grid,
-    _interpolate_to_segments,
     _is_uniform,
     _segment_integrals,
     dipole_grid,
     far_field,
     frequency_sweep,
-    grid_to_csv,
     impedance_matrix,
     input_impedance,
     mode_basis,
@@ -118,19 +115,6 @@ def test_impedance_converges_monotonically():
     assert step2 < step1
 
 
-@pytest.mark.parametrize("source", ["dipole51", "nbs21"])
-def test_interpolation_matches_loop_oracle(source, dipole51):
-    if source == "dipole51":
-        grid, sol = dipole51
-    else:
-        grid = segment(build_design("nbs", F0, 0.005), 21)
-        sol = solve_grid(grid, F0)
-    k = 2.0 * math.pi * F0 / SPEED_OF_LIGHT
-    want = interpolation_loop._interpolate_to_segments(sol.basis, sol.amplitudes, grid, k)
-    assert np.array_equal(_interpolate_to_segments(sol.basis, sol.amplitudes, grid, k), want)
-    assert np.array_equal(sol.currents, want)
-
-
 def test_solution_residual_is_tiny(dipole51):
     _, sol = dipole51
     assert sol.residual < 1e-10
@@ -198,14 +182,6 @@ def test_gain_lookup_on_and_off_grid(dipole51):
         ff.gain_at(90.5, 0.0)
     with pytest.raises(DomainError):
         ff.gain_at(90.0, 2.5)
-
-
-def test_grid_csv_layout():
-    grid = dipole_grid(0.5 * LAM, 1e-4 * LAM, 5)
-    lines = grid_to_csv(grid).strip().splitlines()
-    assert lines[0] == "x1,y1,z1,x2,y2,z2,radius_m,element_index"
-    assert len(lines) == 1 + grid.n_segments
-    assert lines[1].split(",")[-1] == "0"
 
 
 @pytest.mark.parametrize("radius", [-1e-3, 0.0, math.nan, math.inf])
@@ -305,6 +281,43 @@ def test_structured_fill_matches_dense_oracle_property(data, n_elements, segs, s
     feed = data.draw(st.integers(min_value=0, max_value=n_elements - 1))
     assert _oracle_defect(_build_grid(rows, segs, feed), f_hz) <= 1e-12
 
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n_elements=st.integers(min_value=1, max_value=3),
+    segs=st.sampled_from([3, 5, 7, 9]),
+    spacing_frac=st.floats(min_value=0.05, max_value=0.4),
+    f_mhz=st.floats(min_value=300.0, max_value=1500.0),
+    scale=st.one_of(st.sampled_from([1e-3, 0.5, 2.0, 3.7, 1000.0]), st.floats(min_value=0.1, max_value=10.0)),
+)
+def test_impedance_is_scale_invariant_property(data, n_elements, segs, spacing_frac, f_mhz, scale):
+    """Scaling every length by s and the frequency by 1/s leaves Z unchanged."""
+    f_hz = f_mhz * 1e6
+    lam = SPEED_OF_LIGHT / f_hz
+    fracs = st.tuples(st.floats(min_value=0.01, max_value=0.12), st.floats(min_value=5e-5, max_value=2e-3))
+    rows = []
+    for i in range(n_elements):
+        seg_len_frac, radius_frac = data.draw(fracs)
+        rows.append((i * spacing_frac * lam, 0.0, seg_len_frac * segs * lam, radius_frac * lam, i))
+    feed = data.draw(st.integers(min_value=0, max_value=n_elements - 1))
+    scaled = [(x * scale, y * scale, length * scale, radius * scale, i) for x, y, length, radius, i in rows]
+    z = input_impedance(solve_grid(_build_grid(rows, segs, feed), f_hz)).z
+    z_scaled = input_impedance(solve_grid(_build_grid(scaled, segs, feed), f_hz / scale)).z
+    assert abs(z_scaled - z) <= 1e-12 * abs(z)
+
+
+def test_sweep_points_equal_single_point_solves():
+    """Each sweep point is exactly the Z and peak gain of a solve at that frequency alone."""
+    design = build_design("nbs", F0, 0.005)
+    points = frequency_sweep(design, BAND_HZ, segs_per_element=7, resolution_deg=6.0)
+    grid = segment(design, 7)
+    for point, f_hz in zip(points, BAND_HZ, strict=True):
+        sol = solve_grid(grid, f_hz)
+        assert point.error is None
+        assert point.impedance.z == input_impedance(sol).z
+        assert point.peak_gain_dbi == far_field(sol, 6.0).peak_gain_dbi()
 
 BEAMS = [(rule, d) for rule in ("nbs", "balanis", "ycope") for d in (0.005, 0.002)]
 ORACLE_BEAM_CASES = (
@@ -448,7 +461,6 @@ def test_single_segment_element_carries_no_mode():
     assert np.array_equal(np.unique(basis.element), [0])
     assert _oracle_defect(grid, F0) <= 1e-12
     sol = solve_grid(grid, F0)
-    assert sol.currents[-1] == 0
     got = far_field(sol, resolution_deg=5.0)
     want = far_field_halves.far_field(sol, grid, resolution_deg=5.0)
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
