@@ -209,6 +209,12 @@ class FarField:
         return float(np.max(self.gain_dbi))
 
     def peak_direction(self) -> tuple[float, float]:
+        """(theta, phi) of the largest gain sample, in degrees.
+
+        Ties go to the first sample in (theta, phi) row order. A y = 0 array
+        has exactly equal mirrored columns, so of two equal mirror peaks the
+        one at the lower phi is returned.
+        """
         t, p = np.unravel_index(int(np.argmax(self.gain_dbi)), self.gain_dbi.shape)
         return float(self.theta_deg[t]), float(self.phi_deg[p])
 
@@ -334,7 +340,8 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
         if grid.feed_segment in idx:
             within = int(np.flatnonzero(idx == grid.feed_segment)[0])
             feed_mode = len(first) + within
-            z = np.insert(z, within + 1, grid.centers[grid.feed_segment, 2])
+            feed_center = 0.5 * (grid.start[grid.feed_segment, 2] + grid.end[grid.feed_segment, 2])
+            z = np.insert(z, within + 1, feed_center)
         if z.size > 2:
             groups.append((len(first), len(first) + z.size - 2))
             first += [int(idx[0])] * (z.size - 2)
@@ -440,6 +447,7 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     """
     f = _check_frequency(frequency_hz)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
+    _check_array_extent(k, basis, f)
     sin_lo, sin_hi = _sin_widths(k, basis)
     m = basis.n_modes
     z = np.empty((m, m), dtype=complex)
@@ -514,7 +522,8 @@ def _check_wire_spacing(basis: ModeBasis) -> None:
     elements, first = np.unique(basis.element, return_index=True)
     x, y, radius = basis.x[first], basis.y[first], basis.radius[first]
     p, q = np.triu_indices(elements.size, k=1)
-    d = np.hypot(x[p] - x[q], y[p] - y[q])
+    with np.errstate(over="ignore"):  # too far apart is not too close; the fill checks it
+        d = np.hypot(x[p] - x[q], y[p] - y[q])
     bad = np.flatnonzero((d == 0.0) | (d <= radius[p] + radius[q]))
     if bad.size:
         i = bad[0]
@@ -522,6 +531,27 @@ def _check_wire_spacing(basis: ModeBasis) -> None:
         if d[i] == 0.0:
             raise GeometryError(f"elements {e} and {o} are coincident")
         raise GeometryError(f"elements {e} and {o} overlap (axis spacing {d[i]:.4g} m)")
+
+
+def _check_array_extent(k: float, basis: ModeBasis, frequency_hz: float) -> None:
+    """Raise GeometryError when k times the largest axis distance is not finite.
+
+    The distances are those between wire axes, which the fill's spherical
+    waves span, and from each wire axis to the z axis, which the far-field
+    phases are taken from. An array that overflows them would fill the
+    matrix with NaN.
+    """
+    _, first = np.unique(basis.element, return_index=True)
+    x, y = np.append(basis.x[first], 0.0), np.append(basis.y[first], 0.0)
+    p, q = np.triu_indices(x.size, k=1)
+    with np.errstate(over="ignore"):
+        extent = float(np.max(np.hypot(x[p] - x[q], y[p] - y[q])))
+        far = first[int(np.argmax(np.hypot(x[:-1], y[:-1])))]
+    if not math.isfinite(k * extent):
+        raise GeometryError(
+            f"array extent {extent:.4g} m is too large for a finite phase at {frequency_hz / 1e6:g} MHz"
+            f" (element {int(basis.element[far])} lies farthest from the z axis)"
+        )
 
 
 def solve_currents(
@@ -589,6 +619,18 @@ def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
     return ImpedanceResult(z=complex(solution.excitation_voltage / i_feed), frequency_hz=solution.frequency_hz)
 
 
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """e^{j angle} of a real array, from its cosine and sine.
+
+    The same values as np.exp(1j * angle) without its complex multiply and
+    complex exponential, which take most of that call's time.
+    """
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _axial_transforms(
     k: float, basis: ModeBasis, amplitudes: np.ndarray, cos_theta: np.ndarray
 ) -> np.ndarray:
@@ -598,18 +640,29 @@ def _axial_transforms(
     evaluated with Gauss-Legendre per split segment on the summed current:
     the rising half of the mode that peaks at the segment's upper edge plus
     the falling half of the mode that peaks at its lower edge.
+
+    The phase is separable: node q of segment s sits at c_s + h_s x_q, so
+    e^{jk cos(theta) z} = e^{jk cos(theta) c_s} e^{jk cos(theta) h_s x_q}.
+    Segments of exactly equal half-width h share the (theta, node) factor,
+    which is evaluated once per width and applied to their weighted currents
+    in one matrix product; the (theta, segment) center phase follows.
     """
     nodes, weights = _gauss(_PATTERN_QUAD_ORDER)
     lo, hi, rise = basis.seg_lo, basis.seg_hi, basis.below
     fall = rise + 1
-    half = 0.5 * (hi - lo)
-    z = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes  # (s, q)
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    z = center[:, None] + half[:, None] * nodes  # (s, q)
     amps = amplitudes[:, None]
     current = np.zeros(z.shape, dtype=complex)
     current[rise] += amps * np.sin(k * (z[rise] - lo[rise, None])) / np.sin(k * basis.w_lo)[:, None]
     current[fall] += amps * np.sin(k * (hi[fall, None] - z[fall])) / np.sin(k * basis.w_hi)[:, None]
-    phase = np.exp(1j * k * cos_theta[:, None, None] * z[None])  # (t, s, q)
-    per_segment = np.einsum("tsq,sq->ts", phase, current * weights * half[:, None])
+    weighted = current * weights * half[:, None]
+    widths, width_of = np.unique(half, return_inverse=True)
+    per_segment = np.empty((cos_theta.size, half.size), dtype=complex)
+    for g, h in enumerate(widths):
+        segs = np.flatnonzero(width_of == g)
+        per_segment[:, segs] = _cis(k * np.outer(cos_theta, h * nodes)) @ weighted[segs].T
+    per_segment *= _cis(k * np.outer(cos_theta, center))
     return np.add.reduceat(per_segment, rise[[a for a, _ in basis.groups]], axis=1)
 
 
@@ -620,15 +673,33 @@ def _pattern_power(
     cos_theta: np.ndarray,
     phi: np.ndarray,
 ) -> np.ndarray:
-    """|sin(theta) * AF|^2 on a (theta, phi) grid, elements factored per wire."""
-    sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
-    af = np.zeros((cos_theta.size, phi.size), dtype=complex)
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    for (a, _), profile in zip(basis.groups, axial.T):
-        radial = np.exp(1j * k * np.outer(sin_theta, basis.x[a] * cos_phi + basis.y[a] * sin_phi))
-        af += profile[:, None] * radial
-    return (sin_theta[:, None] * np.abs(af)) ** 2
+    """|sin(theta) * AF|^2 on a (theta, phi) grid, elements factored per wire.
+
+    cos_theta must be antisymmetric (row i mirrors row n - 1 - i about
+    theta = 90 degrees) and phi a uniform full circle starting at 0 or half
+    a step, as the sample grid and the power quadrature are. The radial
+    factor e^{jk sin(theta)(x cos(phi) + y sin(phi))} depends on theta only
+    through sin(theta), so it is evaluated on the first half of the rows and
+    serves their mirrors too. When every wire lies on y = 0 the pattern is
+    even in phi: it is evaluated for phi in [0, 180] degrees and the other
+    columns are copied from their mirrors, so mirrored samples are exactly
+    equal. Any other layout evaluates every column.
+    """
+    n_t, n_p = cos_theta.size, phi.size
+    t, j = np.arange(n_t), np.arange(n_p)
+    # the evaluated row and column that each result row and column copies
+    rows = np.minimum(t, t[::-1])
+    start = round(phi[0] * n_p / math.pi)  # phi[0] in half steps: 0 or 1
+    cols = j if np.any(basis.y) else np.minimum(j, (-start - j) % n_p)
+    sin_theta = np.sqrt(np.clip(1.0 - cos_theta[: rows.max() + 1] ** 2, 0.0, 1.0))
+    phi = phi[: cols.max() + 1]
+    heads = [a for a, _ in basis.groups]
+    offsets = basis.x[heads, None] * np.cos(phi) + basis.y[heads, None] * np.sin(phi)  # (w, p)
+    radial = _cis(k * (sin_theta[:, None, None] * offsets))  # (t/2, w, p)
+    pairs = np.stack([t, t[::-1]], axis=1)[: sin_theta.size]  # rows i and n_t - 1 - i share radial[i]
+    af = np.empty((n_t, phi.size), dtype=complex)
+    af[pairs] = axial[pairs] @ radial
+    return ((sin_theta[rows, None] * np.abs(af)) ** 2)[:, cols]
 
 
 def _check_resolution(resolution_deg: float) -> int:
@@ -649,7 +720,12 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     """Directivity over the full sphere on a regular grid.
 
     The gain normalization divides by radiated power computed with a
-    Gauss-Legendre quadrature that is independent of the sample grid.
+    Gauss-Legendre quadrature that is independent of the sample grid: 64
+    nodes in cos(theta) times 128 midpoint samples in phi. Both grids take
+    the per-element radiation integrals (_axial_transforms) and then the
+    array factor over the wire positions (_pattern_power), which reuses
+    rows across theta = 90 degrees and, on a y = 0 array, columns across
+    phi = 0.
     """
     n_phi = _check_resolution(resolution_deg)
     n_theta = n_phi // 2 + 1

@@ -464,3 +464,39 @@ def test_single_segment_element_carries_no_mode():
     got = far_field(sol, resolution_deg=5.0)
     want = far_field_halves.far_field(sol, grid, resolution_deg=5.0)
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
+
+
+def test_far_field_mirrors_a_y0_array_exactly_and_breaks_ties_to_low_phi():
+    """On a y = 0 array the phi > 180 columns are copies of their mirrors.
+
+    The 960 MHz pattern of this 900 MHz design has two equal side peaks at
+    phi = 88 and 272 degrees; the tie goes to the first sample in row order.
+    """
+    grid = segment(build_design("balanis", F0, 0.005), 11)
+    ff = far_field(solve_grid(grid, 960e6), resolution_deg=2.0)
+    assert np.array_equal(ff.gain_dbi[:, 1:], ff.gain_dbi[:, :0:-1])
+    assert np.array_equal(ff.magnitude[:, 1:], ff.magnitude[:, :0:-1])
+    assert ff.peak_direction() == (90.0, 88.0)
+
+
+OFF_AXIS_ARRAYS = {
+    "parasite-off-axis": [(0.0, 0.0, 0.47, 0), (0.2, 0.1, 0.5, 1)],
+    "pair-on-y-axis": [(0.0, 0.0, 0.47, 0), (0.0, 0.25, 0.45, 1)],
+    "three-wires-one-below": [(0.0, 0.0, 0.47, 0), (0.2, 0.05, 0.5, 1), (-0.15, -0.2, 0.44, 2)],
+}
+
+
+@pytest.mark.parametrize("layout", OFF_AXIS_ARRAYS.values(), ids=OFF_AXIS_ARRAYS.keys())
+def test_far_field_off_axis_array_matches_half_tent_oracle(layout):
+    """Wires off y = 0 take the full phi grid and still match the oracle."""
+    rows = [(x * LAM, y * LAM, length * LAM, 1e-3 * LAM, i) for x, y, length, i in layout]
+    grid = _build_grid(rows, 9, 0)
+    sol = solve_grid(grid, F0)
+    assert np.any(sol.basis.y)  # the branch that evaluates every phi column
+    got = far_field(sol, resolution_deg=2.0)
+    want = far_field_halves.far_field(sol, grid, resolution_deg=2.0)
+    directivity = 10.0 ** (want.gain_dbi / 10.0)
+    assert np.max(np.abs(10.0 ** (got.gain_dbi / 10.0) - directivity)) <= 1e-12 * np.max(directivity)
+    assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
+    # the pattern is not even in phi, so copying mirrored columns would fail above
+    assert not np.allclose(want.magnitude[:, 1:], want.magnitude[:, :0:-1])
