@@ -350,6 +350,17 @@ def free_space_path_loss_db(frequency_hz: float, distance_m: float = REFERENCE_D
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
 
 
+def _ten_to(exponent: float, quantity: str) -> float:
+    """10**exponent; raises DomainError naming the quantity when that is not finite."""
+    try:
+        value = 10.0**exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{quantity} 10^{exponent:.4g} is out of floating-point range")
+    return value
+
+
 def jamming_range(model: RangeModel, antenna_gain_dbi: float) -> RangeEstimate:
     """Distance where received jamming power falls to the model threshold.
 
@@ -364,7 +375,7 @@ def jamming_range(model: RangeModel, antenna_gain_dbi: float) -> RangeEstimate:
         - model.threshold_dbm
         - free_space_path_loss_db(model.frequency_hz, REFERENCE_DISTANCE_M)
     )
-    distance = REFERENCE_DISTANCE_M * 10.0 ** (margin_db / (10.0 * model.path_loss_exponent))
+    distance = REFERENCE_DISTANCE_M * _ten_to(margin_db / (10.0 * model.path_loss_exponent), "jamming range")
     return RangeEstimate(distance_m=distance, below_reference=distance < REFERENCE_DISTANCE_M)
 
 
@@ -414,7 +425,7 @@ def range_ratio(g1_dbi: float, g2_dbi: float, path_loss_exponent: float) -> floa
         raise DomainError(f"path-loss exponent must be positive, got {path_loss_exponent!r}")
     if not (math.isfinite(g1_dbi) and math.isfinite(g2_dbi)):
         raise DomainError("gains must be finite")
-    return 10.0 ** ((g2_dbi - g1_dbi) / (10.0 * path_loss_exponent))
+    return _ten_to((g2_dbi - g1_dbi) / (10.0 * path_loss_exponent), "range ratio")
 
 
 _REPORT_KEYS = (

@@ -23,10 +23,10 @@ center of up to three modes and each segment carries the half-tents of two,
 so the kernel runs once per edge against a run of segments and every
 integral serves all the mode pairs that use it. Because the matrix is
 symmetric, one value is written to both mirror places of each entry pair,
-so the returned matrix is exactly symmetric. An element whose segments are
-all equal (every element but the driven one, whose feed segment is split at
-the gap) has a Toeplitz same-wire block, and the integrals of its first edge
-and their mirror images fill it.
+so the returned matrix is exactly symmetric. A same-wire integral depends
+only on where the segment lies as seen from the edge, so every element's
+own block integrates each distinct edge-to-segment offset, or its mirror
+image, once.
 """
 
 from __future__ import annotations
@@ -156,7 +156,6 @@ class ModeBasis:
     element: np.ndarray  # (m,) owning element index
     feed_mode: int  # mode sitting on the feed gap
     feed_length_m: float  # length of the (unsplit) feed segment
-    grid: WireGrid  # the grid the modes come from
     groups: tuple[tuple[int, int], ...]  # mode range [a, b) of each element
     seg_lo: np.ndarray  # (s,) lower end of each split segment
     seg_hi: np.ndarray  # (s,) upper end of each split segment
@@ -179,7 +178,6 @@ class CurrentSolution:
 
     amplitudes: np.ndarray  # (m,) complex junction-mode coefficients
     basis: ModeBasis
-    excitation_voltage: complex
     frequency_hz: float
     residual: float  # relative residual of the linear solve
 
@@ -357,7 +355,6 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
         element=grid.element[first],
         feed_mode=feed_mode,
         feed_length_m=float(grid.lengths[grid.feed_segment]),
-        grid=grid,
         groups=tuple(groups),
         seg_lo=np.concatenate([z[:-1] for z in edges]),
         seg_hi=np.concatenate([z[1:] for z in edges]),
@@ -413,23 +410,12 @@ def _segment_integrals(
     return rise @ rho_weights, fall @ rho_weights
 
 
-def _is_uniform(widths: np.ndarray, z_peak: np.ndarray) -> bool:
-    """True when half-tent widths agree to the roundoff of the coordinates.
-
-    A width is the difference of two junction heights, so equal segments
-    yield widths that differ by a few ulps of the largest height and no
-    more; anything wider is a real difference in the geometry.
-    """
-    scale = float(np.max(np.abs(z_peak)) + np.max(widths))
-    return float(np.ptp(widths)) <= 16.0 * np.finfo(float).eps * scale
-
-
 def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     """Dense complex-symmetric moment matrix of a mode basis at one frequency.
 
     Row/column order follows the basis. The matrix is scaled by the
-    reciprocal feed segment length so the matching excitation vector is zero
-    except for voltage/feed_length at the feed mode.
+    reciprocal feed segment length so the matching excitation vector of a
+    1 V gap is zero except for 1/feed_length at the feed mode.
 
     Every entry is built from wave-center segment integrals: a source mode is
     three point sources at its segment edges and an observation mode is a
@@ -437,13 +423,13 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     an (edge, segment) pair serves every mode pair that uses it. Each
     distinct entry is written to both of its places and the result is
     exactly symmetric. A wire-to-wire block between elements p < q takes
-    every edge of p against the segments of the later elements. An element
-    whose segments are all equal has a Toeplitz same-wire block, which the
-    integrals of its first edge and their mirror images fill. Any other
-    same-wire block, such as the driven element's with its split feed
-    segment, takes every edge against its own segments and is averaged with
-    its transpose, since modes of unequal widths whose supports meet give
-    the two orders values up to ~1e-11 apart.
+    every edge of p against the segments of the later elements. A same-wire
+    block integrates each distinct edge-to-segment offset (lo, hi), or its
+    mirror image (-hi, -lo) with rising and falling swapped, once; offsets
+    within roundoff of the element's lattice (its span over a whole number
+    of its narrowest segments) are snapped to it first. The block is
+    averaged with its transpose, since modes of unequal widths whose
+    supports meet give the two orders values up to ~1e-11 apart.
     """
     f = _check_frequency(frequency_hz)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
@@ -459,8 +445,8 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     ring_weights = 0.5 * ring_w  # folded (1/pi) * (pi/2) Jacobian
     axis_weight = np.ones(1)
 
-    zp, w_lo, w_hi = basis.z_peak, basis.w_lo, basis.w_hi
-    # weights of a source mode's three wave centers, its edges zp - w_lo, zp, zp + w_hi
+    w_lo, w_hi = basis.w_lo, basis.w_hi
+    # weights of a source mode's three wave centers, its edges z_peak - w_lo, z_peak, z_peak + w_hi
     coefs = np.stack(
         [1.0 / sin_lo, -(np.cos(k * w_lo) / sin_lo + np.cos(k * w_hi) / sin_hi), 1.0 / sin_hi], axis=1
     )
@@ -468,14 +454,6 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     heads = [a for a, _ in basis.groups]
     seg_counts = [b - a + 1 for a, b in basis.groups]
     seg_x, seg_y = np.repeat(basis.x[heads], seg_counts), np.repeat(basis.y[heads], seg_counts)
-
-    def integrals(
-        centers: np.ndarray, rho: np.ndarray, rho_weights: np.ndarray, segs: slice
-    ) -> tuple[np.ndarray, np.ndarray]:
-        rise, fall = zip(
-            *(_segment_integrals(k, c, rho, rho_weights, seg_lo[segs], seg_hi[segs]) for c in centers)
-        )
-        return np.array(rise), np.array(fall)
 
     def block(rise: np.ndarray, fall: np.ndarray, src: slice, obs: slice, first_seg: int) -> np.ndarray:
         """Entries [source n, observation i] from the integrals of n's edges."""
@@ -485,29 +463,31 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
         return c[:, 0:1] * h[:-2] + c[:, 1:2] * h[1:-1] + c[:, 2:3] * h[2:]
 
     for a, b in basis.groups:
-        n_seg = b - a + 1
-        own = slice(below[a], below[a] + n_seg)
+        own = slice(below[a], below[a] + b - a + 1)
         e = np.append(seg_lo[own], seg_hi[own.stop - 1])  # the element's edges
         ring_rho = (2.0 * basis.radius[a] * np.sin(ring_phi / 2.0))[None, :]
-        if _is_uniform(np.concatenate([w_lo[a:b], w_hi[a:b]]), zp[a:b]):
-            # integrals at segment offset d from the first edge; the mirror
-            # image of offset d is -d - 1 with rising and falling swapped
-            rise, fall = integrals(e[:1], ring_rho, ring_weights, own)
-            rise_at = np.concatenate([fall[0, ::-1], rise[0]])
-            fall_at = np.concatenate([rise[0, ::-1], fall[0]])
-            # rows: the first mode's three edges, at offsets 0, 1, 2
-            offset = n_seg + np.arange(n_seg)[None, :] - np.arange(3)[:, None]
-            t = block(rise_at[offset], fall_at[offset], slice(a, a + 1), slice(a, b), own.start)[0]
-            i = np.arange(b - a)
-            z[a:b, a:b] = t[np.abs(i[:, None] - i[None, :])]
-        else:
-            rise, fall = integrals(e, ring_rho, ring_weights, own)
-            own_block = block(rise, fall, slice(a, b), slice(a, b), own.start)
-            z[a:b, a:b] = 0.5 * (own_block + own_block.T)
+        # segment ends as offsets from each edge, snapped to exact multiples
+        # of the element's lattice step when all lie on it to roundoff
+        lo, hi = seg_lo[own] - e[:, None], seg_hi[own] - e[:, None]
+        span = e[-1] - e[0]
+        step = span / np.rint(span / np.min(np.diff(e)))
+        snapped = np.rint(np.stack([lo, hi]) / step) * step
+        if np.max(np.abs(snapped - (lo, hi))) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
+            lo, hi = snapped
+        # the mirror image of (lo, hi) is (-hi, -lo) with rising and falling
+        # swapped, so each distinct offset pair or its image is integrated once
+        mirror = lo + hi < 0
+        keys, at = np.unique(np.where(mirror, -hi - 1j * lo, lo + 1j * hi), return_inverse=True)
+        rise_of, fall_of = _segment_integrals(k, 0.0, ring_rho, ring_weights, keys.real, keys.imag)
+        at = at.reshape(lo.shape)
+        rise, fall = np.where(mirror, fall_of[at], rise_of[at]), np.where(mirror, rise_of[at], fall_of[at])
+        own_block = block(rise, fall, slice(a, b), slice(a, b), own.start)
+        z[a:b, a:b] = 0.5 * (own_block + own_block.T)
         if b < m:
             later = slice(own.stop, None)
             rho = np.hypot(seg_x[later] - basis.x[a], seg_y[later] - basis.y[a])[:, None]
-            rise, fall = integrals(e, rho, axis_weight, later)
+            pairs = [_segment_integrals(k, c, rho, axis_weight, seg_lo[later], seg_hi[later]) for c in e]
+            rise, fall = np.array(pairs).transpose(1, 0, 2)  # (edge, 2, segment) to two (edge, segment)
             z[a:b, b:] = block(rise, fall, slice(a, b), slice(b, m), own.stop)
             z[b:, a:b] = z[a:b, b:].T
     z *= 1j * ETA_0 / (4.0 * math.pi * basis.feed_length_m)
@@ -554,13 +534,8 @@ def _check_array_extent(k: float, basis: ModeBasis, frequency_hz: float) -> None
         )
 
 
-def solve_currents(
-    matrix: np.ndarray,
-    basis: ModeBasis,
-    frequency_hz: float,
-    voltage: complex = 1.0 + 0j,
-) -> CurrentSolution:
-    """LU solve of the delta-gap excitation (V/feed_length in the gap row)."""
+def solve_currents(matrix: np.ndarray, basis: ModeBasis, frequency_hz: float) -> CurrentSolution:
+    """LU solve of a 1 V delta-gap excitation (1/feed_length in the gap row)."""
     f = _check_frequency(frequency_hz)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -574,7 +549,7 @@ def solve_currents(
         raise DomainError("moment matrix contains non-finite entries")
 
     rhs = np.zeros(basis.n_modes, dtype=complex)
-    rhs[basis.feed_mode] = voltage / basis.feed_length_m
+    rhs[basis.feed_mode] = 1.0 / basis.feed_length_m
 
     try:
         lu, piv = scipy.linalg.lu_factor(matrix)
@@ -594,21 +569,20 @@ def solve_currents(
     return CurrentSolution(
         amplitudes=amplitudes,
         basis=basis,
-        excitation_voltage=complex(voltage),
         frequency_hz=f,
         residual=residual,
     )
 
 
-def solve_grid(grid: WireGrid, frequency_hz: float, voltage: complex = 1.0 + 0j) -> CurrentSolution:
+def solve_grid(grid: WireGrid, frequency_hz: float) -> CurrentSolution:
     """Fill and solve in one step for a grid's own feed segment."""
     basis = mode_basis(grid)
     matrix = impedance_matrix(basis, frequency_hz)
-    return solve_currents(matrix, basis, frequency_hz, voltage)
+    return solve_currents(matrix, basis, frequency_hz)
 
 
 def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
-    """Driving-point impedance V/I at the feed gap.
+    """Driving-point impedance 1 V / I at the feed gap.
 
     The feed mode peaks at the gap and every other mode is zero there, so
     the gap current is the feed mode's amplitude.
@@ -616,7 +590,7 @@ def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
     i_feed = solution.amplitudes[solution.basis.feed_mode]
     if abs(i_feed) < 1e-15:
         raise SolverError("feed current vanished; input impedance is undefined")
-    return ImpedanceResult(z=complex(solution.excitation_voltage / i_feed), frequency_hz=solution.frequency_hz)
+    return ImpedanceResult(z=complex(1.0 / i_feed), frequency_hz=solution.frequency_hz)
 
 
 def _cis(angle: np.ndarray) -> np.ndarray:
@@ -709,6 +683,8 @@ def _check_resolution(resolution_deg: float) -> int:
     ):
         raise DomainError(f"resolution must be positive and finite, got {resolution_deg!r}")
     n_phi = 360.0 / resolution_deg
+    if not math.isfinite(n_phi):
+        raise DomainError(f"resolution {resolution_deg!r} deg is too fine for a finite number of phi steps")
     if abs(n_phi - round(n_phi)) > 1e-9 or round(n_phi) % 2 != 0 or round(n_phi) < 2:
         raise DomainError(
             f"resolution must divide 360 into an even number of steps, at least 2, got {resolution_deg}"
@@ -776,21 +752,22 @@ def frequency_sweep(
     segs_per_element: int = DEFAULT_SEGMENTS_PER_ELEMENT,
     resolution_deg: float = 2.0,
 ) -> list[SweepPoint]:
-    """Impedance and peak gain at each frequency; failures are tagged per point."""
+    """Impedance and peak gain at each frequency from one mode basis; failures are tagged per point."""
     if not frequencies_hz:
         raise DomainError("frequency sweep needs at least one frequency")
     grid = segment(design, segs_per_element)
     try:
         _check_resolution(resolution_deg)
+        basis = mode_basis(grid)
     except DomainError as exc:
         return [SweepPoint(float(f), None, None, str(exc)) for f in frequencies_hz]
     points: list[SweepPoint] = []
     for f in frequencies_hz:
         try:
-            sol = solve_grid(grid, f)
+            sol = solve_currents(impedance_matrix(basis, f), basis, f)
             imp = input_impedance(sol)
             ff = far_field(sol, resolution_deg)
             points.append(SweepPoint(float(f), imp, ff.peak_gain_dbi(), None))
-        except (DomainError, SolverError, GeometryError) as exc:
+        except (DomainError, SolverError) as exc:
             points.append(SweepPoint(float(f), None, None, str(exc)))
     return points

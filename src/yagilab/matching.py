@@ -13,6 +13,7 @@ length is always in wavelengths.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -131,7 +132,11 @@ def series_capacitance(f0_hz: float, reactance_ohm: float) -> float:
         raise DomainError(
             f"series capacitor cancels inductive (positive) reactance only, got {reactance_ohm!r}"
         )
-    return 1.0 / (2.0 * math.pi * f0_hz * reactance_ohm)
+    omega_x = 2.0 * math.pi * f0_hz * reactance_ohm
+    c = 1.0 / omega_x if omega_x > 0 else math.inf
+    if not math.isfinite(c):
+        raise DomainError(f"series capacitance for {reactance_ohm!r} ohm at {f0_hz!r} Hz is not finite")
+    return c
 
 
 def gamma_chain(
@@ -150,6 +155,9 @@ def gamma_chain(
     Z0, even alpha) can be fed back in verbatim; gamma_input_impedance
     derives them from physical dimensions instead. When alpha is given it
     overrides the value computed from u and v.
+
+    Non-finite inputs and intermediates raise DomainError, except the open
+    stub (zg_norm = j*inf) of a quarter-wave rod.
     """
     if za.real <= 0:
         raise DomainError(f"antenna impedance must have positive real part, got {za!r}")
@@ -157,12 +165,23 @@ def gamma_chain(
         raise DomainError(f"line impedance must be positive, got {z0_ohm!r}")
     if not (0.0 < rod_length_lambda < 0.5):
         raise DomainError(f"rod length must lie in (0, 0.5) wavelengths, got {rod_length_lambda!r}")
+    if not all(math.isfinite(x) for x in (u, v, z0_ohm, f0_hz, 0.0 if alpha is None else alpha)):
+        raise DomainError(
+            f"gamma chain inputs must be finite, got u={u!r}, v={v!r}, z0={z0_ohm!r}, f0={f0_hz!r}, alpha={alpha!r}"
+        )
     if alpha is None:
         alpha = current_division_factor(u, v)
 
-    step_up = (1.0 + alpha) ** 2
+    try:
+        step_up = (1.0 + alpha) ** 2
+    except OverflowError:
+        step_up = math.inf
+    if not (0.0 < step_up < math.inf):
+        raise DomainError(f"step-up (1 + alpha)^2 must be positive and finite, got {step_up!r}")
     z2_ohm = folded_step_impedance(za, alpha)
     z2_norm = z2_ohm / z0_ohm
+    if z2_norm == 0:
+        raise DomainError(f"gamma chain z2_norm underflows to zero: {z2_ohm!r} / {z0_ohm!r}")
     y2 = 1.0 / z2_norm
 
     if abs(rod_length_lambda - 0.25) < _OPEN_STUB_TOL:
@@ -178,6 +197,9 @@ def gamma_chain(
         raise DomainError("gamma match is degenerate: input admittance vanishes")
     zin_norm = 1.0 / yin
     zin_ohm = zin_norm * z0_ohm
+    for name, value in (("z2_ohm", z2_ohm), ("y2", y2), ("yin", yin), ("zin_ohm", zin_ohm)):
+        if not cmath.isfinite(value):
+            raise DomainError(f"gamma chain {name} is not finite: {value!r}")
 
     c = series_capacitance(f0_hz, zin_ohm.imag) if zin_ohm.imag > 0 else None
     return GammaSolution(

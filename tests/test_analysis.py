@@ -282,6 +282,16 @@ def test_range_ratio_values():
         range_ratio(0.0, 6.0, 0.0)
 
 
+def test_range_that_overflows_is_a_domain_error():
+    with pytest.raises(DomainError, match="jamming range"):
+        jamming_range(default_range_model(), 1e308)
+    model = RangeModel(eirp_dbm=30.0, threshold_dbm=-1e308, path_loss_exponent=2.0, frequency_hz=900e6)
+    with pytest.raises(DomainError, match="jamming range"):
+        jamming_range(model, 11.0)
+    with pytest.raises(DomainError, match="range ratio"):
+        range_ratio(0.0, 7000.0, 2.0)
+
+
 # --- combined report ---
 
 

@@ -574,3 +574,67 @@ def test_pattern_csv_that_is_not_utf8_is_an_error(tmp_path, capsys):
     rc = cli.run(["pattern", "stats", "--in", str(csv)])
     assert rc == 1
     _assert_one_error_line(capsys, str(csv), "UTF-8")
+
+
+# --- numbers that overflow or are not finite ---
+
+_EXPLICIT_MATCH = ["match", "--za", "24+3.73j", "--rod-lambda", "0.099", "--u", "2", "--v", "5"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--z0", "inf"],
+        ["--z0", "300", "--alpha", "-1"],
+        ["--z0", "300", "--alpha", "1e308"],
+        ["--z0", "nan"],
+        ["--z0", "1e-320"],
+        ["--z0", "300", "--alpha", "nan"],
+        ["--z0", "300", "--alpha", "inf"],
+        ["--z0", "300", "--freq-mhz", "nan"],
+        ["--z0", "300", "--freq-mhz", "1e-320"],
+        ["--z0", "300", "--u", "nan", "--alpha", "1.3"],
+        ["--z0", "300", "--rod-lambda", "1e-320"],  # the stub admittance overflows
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_explicit_match_rejects_numbers_the_chain_cannot_carry(capsys, flags):
+    """Each of these once raised a traceback or wrote null fields with exit 0."""
+    assert cli.run([*_EXPLICIT_MATCH, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["range", "--gain-dbi", "1e308"], ["range", "--gain-dbi", "11", "--threshold-dbm=-1e308"]],
+    ids=["huge-gain", "huge-margin"],
+)
+def test_range_that_overflows_exits_one(capsys, argv):
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "jamming range" in err, err
+
+
+def test_simulate_with_a_resolution_too_fine_to_count_exits_one(tmp_path, capsys):
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "3",
+                  "--resolution", "1e-320", "--out", str(out), "--quiet"])
+    assert rc == 1
+    _assert_one_error_line(capsys, "resolution")
+    assert not out.exists()
+
+
+def test_sweep_with_a_resolution_too_fine_to_count_tags_every_point(tmp_path, capsys):
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "3", "--sweep", "850:960:55",
+                  "--resolution", "1e-320", "--out", str(out), "--quiet"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    points = json.loads(out.read_text())["sweep"]
+    assert len(points) == 3
+    assert all(p["impedance_ohm"] is None and "resolution" in p["error"] for p in points)

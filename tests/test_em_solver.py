@@ -12,7 +12,6 @@ from yagilab import em_solver
 from yagilab.em_solver import (
     WireGrid,
     _build_grid,
-    _is_uniform,
     _segment_integrals,
     dipole_grid,
     far_field,
@@ -167,6 +166,23 @@ def test_sweep_tags_every_point_with_a_bad_resolution(monkeypatch):
     assert fills == []
 
 
+def test_sweep_builds_one_mode_basis(monkeypatch):
+    """Every point of a sweep is filled and solved from the same basis."""
+    calls = []
+    build = em_solver.mode_basis
+    monkeypatch.setattr(em_solver, "mode_basis", lambda grid: calls.append(grid) or build(grid))
+    points = frequency_sweep(build_design("nbs", F0, 0.005), BAND_HZ, segs_per_element=3, resolution_deg=10.0)
+    assert all(p.error is None for p in points)
+    assert len(calls) == 1
+
+
+def test_resolution_too_fine_for_a_finite_step_count_is_a_domain_error(dipole51):
+    """360 / 1e-320 overflows to infinity, which has no integer step count."""
+    _, sol = dipole51
+    with pytest.raises(DomainError, match="resolution"):
+        far_field(sol, resolution_deg=1e-320)
+
+
 def test_sweep_rejects_empty_frequency_list():
     design = build_design("nbs", F0, 0.005)
     with pytest.raises(DomainError):
@@ -270,7 +286,7 @@ def _oracle_defect(grid, f_hz):
     f_mhz=st.floats(min_value=300.0, max_value=1500.0),
 )
 def test_structured_fill_matches_dense_oracle_property(data, n_elements, segs, spacing_frac, f_mhz):
-    """Toeplitz, averaged same-wire and wire-to-wire blocks reproduce the dense fill."""
+    """Offset-deduplicated same-wire and wire-to-wire blocks reproduce the dense fill."""
     f_hz = f_mhz * 1e6
     lam = SPEED_OF_LIGHT / f_hz
     fracs = st.tuples(st.floats(min_value=0.01, max_value=0.12), st.floats(min_value=5e-5, max_value=2e-3))
@@ -346,7 +362,7 @@ def test_segment_integrals_reflect_about_the_wave_center():
 
     The mirror image of the wire about its center swaps the first and last
     edges and turns each falling sinusoid into a rising one, which is what
-    lets one edge's integrals fill a whole Toeplitz block.
+    lets the same-wire fill integrate an offset and its mirror image once.
     """
     k = 2.0 * math.pi / LAM
     edges = np.linspace(-0.25 * LAM, 0.25 * LAM, 12)
@@ -361,14 +377,28 @@ def test_segment_integrals_reflect_about_the_wave_center():
 
 
 @pytest.mark.parametrize("segs", [3, 21, 41])
-def test_toeplitz_trigger_on_segmented_beam(segs):
-    """Every element of a segmented beam but the split driven one is uniform."""
+def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
+    """A segmented beam's same-wire blocks snap to their lattice and deduplicate.
+
+    A uniform element of N segments has N distinct offsets up to mirror
+    images, and the driven element, with its feed segment split, about 2.5N.
+    Were the snap to miss, the fill would integrate up to (N+1)(N+2) pairs
+    per element and only run slower, so the count itself is checked.
+    """
+    sizes = []
+
+    def spy(k, center, rho, rho_weights, lo, hi):
+        if rho_weights.size > 1:  # the ring kernel: a same-wire call
+            sizes.append(lo.size)
+        return _segment_integrals(k, center, rho, rho_weights, lo, hi)
+
+    monkeypatch.setattr(em_solver, "_segment_integrals", spy)
     basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
-    driven = basis.element[basis.feed_mode]
-    for e in np.unique(basis.element):
-        sel = basis.element == e
-        widths = np.concatenate([basis.w_lo[sel], basis.w_hi[sel]])
-        assert _is_uniform(widths, basis.z_peak[sel]) == (e != driven)
+    impedance_matrix(basis, 905e6)
+    driven = [a <= basis.feed_mode < b for a, b in basis.groups]
+    assert len(sizes) == len(driven) == 6
+    for size, is_driven in zip(sizes, driven):
+        assert size <= (3 * segs if is_driven else segs + 1)
 
 
 def test_mode_basis_segment_table():
@@ -376,7 +406,6 @@ def test_mode_basis_segment_table():
     grid = segment(build_design("nbs", F0, 0.005), 11)
     basis = mode_basis(grid)
     rise, fall = basis.below, basis.below + 1
-    assert basis.grid is grid
     assert basis.seg_lo.size == grid.n_segments + 1  # the feed segment is split
     assert np.array_equal(basis.seg_hi[rise], basis.z_peak)
     assert np.array_equal(basis.seg_lo[fall], basis.z_peak)
@@ -390,8 +419,10 @@ def test_nearly_uniform_element_is_not_taken_as_toeplitz():
     """Segments equal only to the validation tolerance still match the oracle.
 
     The second element's junctions are displaced by 1e-10 of a segment,
-    which validate() accepts as uniform; a Toeplitz block built from its first
-    column would be off by about that much.
+    which validate() accepts as uniform; its offsets miss the lattice by far
+    more than roundoff, so they must not be snapped to it, and integrals
+    shared across offsets that merely look equal would be off by about that
+    much.
     """
     segs = 9
     rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]

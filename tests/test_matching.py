@@ -125,6 +125,17 @@ def test_chain_input_guards():
         gamma_chain(ZA, u=1.5, v=6.9, z0_ohm=209.0, rod_length_lambda=0.7, f0_hz=900e6)
 
 
+def test_chain_rejects_a_non_finite_v_with_an_explicit_alpha():
+    """alpha overrides u and v, but they are still reported, so they must be finite."""
+    with pytest.raises(DomainError, match="finite"):
+        gamma_chain(ZA, u=2.0, v=math.inf, z0_ohm=300.0, rod_length_lambda=0.099, f0_hz=900e6, alpha=1.3)
+
+
+def test_chain_rejects_a_folded_impedance_that_underflows():
+    with pytest.raises(DomainError, match="z2_norm"):
+        gamma_chain(5e-324 + 0j, u=2.0, v=5.0, z0_ohm=209.0, rod_length_lambda=0.099, f0_hz=900e6, alpha=-0.9)
+
+
 def test_geometry_guards():
     with pytest.raises(DomainError):
         GammaMatchGeometry(a=2.5, a_rod=3.65, s=5.0, rod_length_lambda=0.099, f0_hz=900e6)
