@@ -18,15 +18,16 @@ exact to quadrature precision.
 The fill is built from wave-center segment integrals. A sinusoidal mode
 radiates as three point sources at its segment edges (the wave centers) and
 is tested by a rising and a falling sinusoid over its two segments, so every
-entry is a sum of integrals of one (edge, segment) pair. Each edge is a wave
-center of up to three modes and each segment carries the half-tents of two,
-so the kernel runs once per edge against a run of segments and every
-integral serves all the mode pairs that use it. Because the matrix is
-symmetric, one value is written to both mirror places of each entry pair,
-so the returned matrix is exactly symmetric. A same-wire integral depends
-only on where the segment lies as seen from the edge, so every element's
-own block integrates each distinct edge-to-segment offset, or its mirror
-image, once.
+entry is a sum of integrals of one (edge, segment) pair, and each integral
+serves all the mode pairs that use it. The fill is one loop over element
+pairs p <= q. An integral depends only on where the segment of q lies as
+seen from the edge of p, and on the distance between the wires, so each
+block takes its edge-to-segment offsets, folds each onto its mirror image,
+and integrates each distinct one once in a single kernel call. Built
+elements are exactly antisymmetric about z = 0, so on a segmented beam the
+mirror halves every block. Because the matrix is symmetric, one value is
+written to both mirror places of each entry pair, so the returned matrix is
+exactly symmetric.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ _PIVOT_RATIO_LIMIT = 1e-12
 # power-normalization quadrature (independent of the returned sample grid)
 _POWER_THETA_ORDER = 64
 _POWER_PHI_SAMPLES = 128
+# finest pattern grid, 0.05 degrees; a 3-segment simulate at it peaks at about 1.1 GiB
+_MAX_PHI_STEPS = 7200
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -285,6 +288,7 @@ def _build_grid(rows: list[tuple[float, float, float, float, int]], segs: int, f
                 f" wire radius {radius:.4g} m; use fewer segments or a thinner rod"
             )
         z_edges = np.linspace(-length / 2.0, length / 2.0, segs + 1)
+        z_edges = 0.5 * (z_edges - z_edges[::-1])  # exactly antisymmetric about z = 0
         for z0, z1 in zip(z_edges[:-1], z_edges[1:]):
             starts.append((x, y, z0))
             ends.append((x, y, z1))
@@ -375,6 +379,18 @@ def _sin_widths(k: float, basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(k * basis.w_lo), np.sin(k * basis.w_hi)
 
 
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """e^{j angle} of a real array, from its cosine and sine.
+
+    The same values as np.exp(1j * angle) without its complex multiply and
+    complex exponential, which take most of that call's time.
+    """
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _segment_integrals(
     k: float,
     center: float,
@@ -389,11 +405,11 @@ def _segment_integrals(
     (weighted by rho_weights) of
         rise = integral over [lo, hi] of sin(k(z - lo)) e^{-jkR}/R dz,
         fall = integral over [lo, hi] of sin(k(hi - z)) e^{-jkR}/R dz,
-    with R = hypot(z - center, rho). rho has one row per segment, or a single
-    row for all of them, and one column per distance node: one node of weight
-    1 at the axis distance gives the wire-to-wire kernel, the ring nodes give
-    the azimuthally averaged same-wire kernel. Both integrals share their
-    quadrature nodes and spherical wave.
+    with R = hypot(z - center, rho). rho holds the distance nodes, shared by
+    every segment: one node of weight 1 at the axis distance gives the
+    wire-to-wire kernel, the ring nodes give the azimuthally averaged
+    same-wire kernel. Both integrals share their quadrature nodes and
+    spherical wave.
     """
     lo, hi = lo[:, None, None], hi[:, None, None]
     rho = rho[..., None]
@@ -404,7 +420,7 @@ def _segment_integrals(
     nodes, weights = _gauss(_AXIAL_QUAD_ORDER)
     t = mid + half * nodes
     z = center + rho * np.sinh(t)
-    wave = np.exp(-1j * k * rho * np.cosh(t)) * weights
+    wave = _cis(-k * rho * np.cosh(t)) * weights
     rise = (np.sin(k * (z - lo)) * wave).sum(axis=-1) * half[..., 0]
     fall = (np.sin(k * (hi - z)) * wave).sum(axis=-1) * half[..., 0]
     return rise @ rho_weights, fall @ rho_weights
@@ -420,16 +436,20 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     Every entry is built from wave-center segment integrals: a source mode is
     three point sources at its segment edges and an observation mode is a
     rising and a falling sinusoid over its two segments, so one integral of
-    an (edge, segment) pair serves every mode pair that uses it. Each
-    distinct entry is written to both of its places and the result is
-    exactly symmetric. A wire-to-wire block between elements p < q takes
-    every edge of p against the segments of the later elements. A same-wire
-    block integrates each distinct edge-to-segment offset (lo, hi), or its
-    mirror image (-hi, -lo) with rising and falling swapped, once; offsets
-    within roundoff of the element's lattice (its span over a whole number
-    of its narrowest segments) are snapped to it first. The block is
-    averaged with its transpose, since modes of unequal widths whose
-    supports meet give the two orders values up to ~1e-11 apart.
+    an (edge, segment) pair serves every mode pair that uses it.
+
+    One loop over element pairs p <= q fills every block the same way. The
+    segments of q are taken as offsets (lo, hi) from each edge of p and
+    snapped to p's lattice (its span over a whole number of its narrowest
+    segments) when all lie on it to roundoff. Each offset is folded onto its
+    mirror image (-hi, -lo), which has rising and falling swapped, and each
+    distinct offset is integrated once: with the ring kernel of p's radius
+    when p == q, with the axis kernel at the wires' distance otherwise. An
+    off-centre grid runs the same path and only finds fewer repeats. A
+    wire-to-wire block is written to both of its places, and a same-wire
+    block is averaged with its transpose, since modes of unequal widths
+    whose supports meet give the two orders values up to ~1e-11 apart. The
+    result is exactly symmetric.
     """
     f = _check_frequency(frequency_hz)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
@@ -451,9 +471,7 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
         [1.0 / sin_lo, -(np.cos(k * w_lo) / sin_lo + np.cos(k * w_hi) / sin_hi), 1.0 / sin_hi], axis=1
     )
     seg_lo, seg_hi, below = basis.seg_lo, basis.seg_hi, basis.below
-    heads = [a for a, _ in basis.groups]
-    seg_counts = [b - a + 1 for a, b in basis.groups]
-    seg_x, seg_y = np.repeat(basis.x[heads], seg_counts), np.repeat(basis.y[heads], seg_counts)
+    owns = [slice(below[a], below[a] + b - a + 1) for a, b in basis.groups]  # each element's segments
 
     def block(rise: np.ndarray, fall: np.ndarray, src: slice, obs: slice, first_seg: int) -> np.ndarray:
         """Entries [source n, observation i] from the integrals of n's edges."""
@@ -462,34 +480,35 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
         c = coefs[src]
         return c[:, 0:1] * h[:-2] + c[:, 1:2] * h[1:-1] + c[:, 2:3] * h[2:]
 
-    for a, b in basis.groups:
-        own = slice(below[a], below[a] + b - a + 1)
-        e = np.append(seg_lo[own], seg_hi[own.stop - 1])  # the element's edges
-        ring_rho = (2.0 * basis.radius[a] * np.sin(ring_phi / 2.0))[None, :]
-        # segment ends as offsets from each edge, snapped to exact multiples
-        # of the element's lattice step when all lie on it to roundoff
-        lo, hi = seg_lo[own] - e[:, None], seg_hi[own] - e[:, None]
+    for p, ((a, b), own) in enumerate(zip(basis.groups, owns)):
+        e = np.append(seg_lo[own], seg_hi[own.stop - 1])  # p's edges
         span = e[-1] - e[0]
         step = span / np.rint(span / np.min(np.diff(e)))
-        snapped = np.rint(np.stack([lo, hi]) / step) * step
-        if np.max(np.abs(snapped - (lo, hi))) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
-            lo, hi = snapped
-        # the mirror image of (lo, hi) is (-hi, -lo) with rising and falling
-        # swapped, so each distinct offset pair or its image is integrated once
-        mirror = lo + hi < 0
-        keys, at = np.unique(np.where(mirror, -hi - 1j * lo, lo + 1j * hi), return_inverse=True)
-        rise_of, fall_of = _segment_integrals(k, 0.0, ring_rho, ring_weights, keys.real, keys.imag)
-        at = at.reshape(lo.shape)
-        rise, fall = np.where(mirror, fall_of[at], rise_of[at]), np.where(mirror, rise_of[at], fall_of[at])
-        own_block = block(rise, fall, slice(a, b), slice(a, b), own.start)
-        z[a:b, a:b] = 0.5 * (own_block + own_block.T)
-        if b < m:
-            later = slice(own.stop, None)
-            rho = np.hypot(seg_x[later] - basis.x[a], seg_y[later] - basis.y[a])[:, None]
-            pairs = [_segment_integrals(k, c, rho, axis_weight, seg_lo[later], seg_hi[later]) for c in e]
-            rise, fall = np.array(pairs).transpose(1, 0, 2)  # (edge, 2, segment) to two (edge, segment)
-            z[a:b, b:] = block(rise, fall, slice(a, b), slice(b, m), own.stop)
-            z[b:, a:b] = z[a:b, b:].T
+        for (c, d), other in zip(basis.groups[p:], owns[p:]):  # element q >= p
+            # q's segment ends as offsets from p's edges, snapped to exact
+            # multiples of p's lattice step when all lie on it to roundoff
+            ends = np.stack([seg_lo[other] - e[:, None], seg_hi[other] - e[:, None]])
+            snapped = np.rint(ends / step) * step
+            if np.max(np.abs(snapped - ends)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
+                ends = snapped
+            lo, hi = ends
+            # the mirror image of (lo, hi) is (-hi, -lo) with rising and falling
+            # swapped, so each distinct offset pair or its image is integrated once
+            mirror = lo + hi < 0
+            keys, at = np.unique(np.where(mirror, -hi - 1j * lo, lo + 1j * hi), return_inverse=True)
+            if c == a:
+                rho, rho_weights = 2.0 * basis.radius[a] * np.sin(ring_phi / 2.0), ring_weights
+            else:
+                rho, rho_weights = np.hypot(basis.x[c] - basis.x[a], basis.y[c] - basis.y[a])[None], axis_weight
+            rise_of, fall_of = _segment_integrals(k, 0.0, rho, rho_weights, keys.real, keys.imag)
+            at = at.reshape(lo.shape)
+            rise, fall = np.where(mirror, fall_of[at], rise_of[at]), np.where(mirror, rise_of[at], fall_of[at])
+            pair_block = block(rise, fall, slice(a, b), slice(c, d), other.start)
+            if c == a:
+                z[a:b, a:b] = 0.5 * (pair_block + pair_block.T)
+            else:
+                z[a:b, c:d] = pair_block
+                z[c:d, a:b] = pair_block.T
     z *= 1j * ETA_0 / (4.0 * math.pi * basis.feed_length_m)
     return z
 
@@ -593,18 +612,6 @@ def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
     return ImpedanceResult(z=complex(1.0 / i_feed), frequency_hz=solution.frequency_hz)
 
 
-def _cis(angle: np.ndarray) -> np.ndarray:
-    """e^{j angle} of a real array, from its cosine and sine.
-
-    The same values as np.exp(1j * angle) without its complex multiply and
-    complex exponential, which take most of that call's time.
-    """
-    out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
-
-
 def _axial_transforms(
     k: float, basis: ModeBasis, amplitudes: np.ndarray, cos_theta: np.ndarray
 ) -> np.ndarray:
@@ -683,8 +690,11 @@ def _check_resolution(resolution_deg: float) -> int:
     ):
         raise DomainError(f"resolution must be positive and finite, got {resolution_deg!r}")
     n_phi = 360.0 / resolution_deg
-    if not math.isfinite(n_phi):
-        raise DomainError(f"resolution {resolution_deg!r} deg is too fine for a finite number of phi steps")
+    if not n_phi < _MAX_PHI_STEPS + 0.5:
+        raise DomainError(
+            f"resolution {resolution_deg!r} deg is finer than {360.0 / _MAX_PHI_STEPS:g} deg"
+            f" (more than {_MAX_PHI_STEPS} phi steps)"
+        )
     if abs(n_phi - round(n_phi)) > 1e-9 or round(n_phi) % 2 != 0 or round(n_phi) < 2:
         raise DomainError(
             f"resolution must divide 360 into an even number of steps, at least 2, got {resolution_deg}"

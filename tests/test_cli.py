@@ -211,6 +211,21 @@ def test_simulate_with_resolution_below_two_steps_exits_one(tmp_path, capsys, re
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolution", ["1e-300", "1e-6", "0.001"])
+def test_simulate_with_resolution_finer_than_the_limit_exits_one(tmp_path, capsys, resolution):
+    """Past 7200 phi steps the pattern grid would not fit in memory; it is refused first."""
+    design = tmp_path / "d.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    capsys.readouterr()
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "3", "--resolution", resolution])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: resolution {float(resolution)!r} deg is finer than 0.05 deg (more than 7200 phi steps)"
+    ]
+
+
 @pytest.mark.parametrize("diameter_m", [-0.005, math.nan])
 def test_simulate_rejects_a_bad_rod_diameter_in_the_design_file(tmp_path, capsys, diameter_m):
     design, out = tmp_path / "d.json", tmp_path / "s.json"

@@ -183,6 +183,22 @@ def test_resolution_too_fine_for_a_finite_step_count_is_a_domain_error(dipole51)
         far_field(sol, resolution_deg=1e-320)
 
 
+def test_resolution_limit_is_7200_phi_steps():
+    assert em_solver._check_resolution(0.05) == 7200
+
+
+@pytest.mark.parametrize("resolution_deg", [1e-300, 1e-6, 0.001])
+def test_sweep_tags_every_point_with_a_resolution_past_the_limit(monkeypatch, resolution_deg):
+    """A step count past 7200 is tagged on every point before any fill."""
+    fills = []
+    fill = em_solver.impedance_matrix
+    monkeypatch.setattr(em_solver, "impedance_matrix", lambda *args: fills.append(args) or fill(*args))
+    points = frequency_sweep(build_design("nbs", F0, 0.005), BAND_HZ, segs_per_element=3, resolution_deg=resolution_deg)
+    assert [p.frequency_hz for p in points] == BAND_HZ
+    assert all(p.error is not None and f"resolution {resolution_deg!r} deg" in p.error for p in points)
+    assert fills == []
+
+
 def test_sweep_rejects_empty_frequency_list():
     design = build_design("nbs", F0, 0.005)
     with pytest.raises(DomainError):
@@ -357,6 +373,34 @@ def test_structured_fill_matches_dense_oracle_on_beam(rule, diameter_m, segs, f_
     assert _oracle_defect(grid, f_hz) <= 1e-12
 
 
+@pytest.mark.parametrize("segs", [7, 21, 41])
+@pytest.mark.parametrize("rule, diameter_m", BEAMS)
+def test_built_elements_are_exactly_antisymmetric(rule, diameter_m, segs):
+    """Each element's edges mirror exactly about z = 0 and the feed splits at 0.0.
+
+    Exact mirror edges make a wire-to-wire offset and its mirror image
+    compare equal, so the fill integrates them once.
+    """
+    grid = segment(build_design(rule, F0, diameter_m), segs)
+    for e in np.unique(grid.element):
+        idx = np.flatnonzero(grid.element == e)
+        edges = np.append(grid.start[idx, 2], grid.end[idx[-1], 2])
+        assert np.array_equal(edges, -edges[::-1])
+    basis = mode_basis(grid)
+    assert basis.z_peak[basis.feed_mode] == 0.0
+
+
+def test_element_shifted_along_its_axis_matches_dense_oracle():
+    """An off-centre element finds fewer repeated offsets but fills the same matrix."""
+    base = segment(build_design("nbs", F0, 0.005), 11)
+    start, end = base.start.copy(), base.end.copy()
+    moved = base.element == 3
+    start[moved, 2] += 0.03 * LAM
+    end[moved, 2] += 0.03 * LAM
+    grid = WireGrid(start, end, base.radius, base.element, base.feed_segment)
+    assert _oracle_defect(grid, F0) <= 1e-12
+
+
 def test_segment_integrals_reflect_about_the_wave_center():
     """On a uniform wire, fall at offset d from the first edge is rise at -d - 1.
 
@@ -399,6 +443,35 @@ def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
     assert len(sizes) == len(driven) == 6
     for size, is_driven in zip(sizes, driven):
         assert size <= (3 * segs if is_driven else segs + 1)
+
+
+@pytest.mark.parametrize("segs", [3, 21, 41])
+def test_fill_makes_one_kernel_call_per_element_pair(monkeypatch, segs):
+    """Every element pair's block is one kernel call over its folded offsets.
+
+    The beam is symmetric about z = 0, so a wire-to-wire block needs at most
+    half of its (edge, segment) pairs, plus one per edge for a segment
+    centred on that edge, which is its own mirror image. Were the fold to
+    miss, the fill would only run slower, so the count itself is checked.
+    """
+    axis_sizes = []
+    calls = 0
+
+    def spy(k, center, rho, rho_weights, lo, hi):
+        nonlocal calls
+        calls += 1
+        if rho_weights.size == 1:  # the axis kernel: a wire-to-wire call
+            axis_sizes.append(lo.size)
+        return _segment_integrals(k, center, rho, rho_weights, lo, hi)
+
+    monkeypatch.setattr(em_solver, "_segment_integrals", spy)
+    basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
+    impedance_matrix(basis, 905e6)
+    edges = [b - a + 2 for a, b in basis.groups]
+    n = len(edges)
+    assert calls == n * (n + 1) // 2 == 21
+    bound = sum(edges[p] * (edges[q] - 1) / 2 + edges[p] for p in range(n) for q in range(p + 1, n))
+    assert sum(axis_sizes) <= bound
 
 
 def test_mode_basis_segment_table():
