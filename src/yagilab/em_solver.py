@@ -10,24 +10,21 @@ the gap current itself.
 Same-wire interactions use the azimuthally averaged surface kernel, which
 stays accurate when segments are about as short as the wire is thick; wire to
 wire interactions use the axis-to-axis distance. Both are one kernel: the
-wire-to-wire case is a single-node ring at the axis distance. All kernel
-integrals run Gauss-Legendre quadrature after the substitution
-u = rho*sinh(t), which flattens the 1/R peak so near-singular entries are
-exact to quadrature precision.
+wire-to-wire case is a single-node ring at the axis distance.
 
 The fill is built from wave-center segment integrals. A sinusoidal mode
 radiates as three point sources at its segment edges (the wave centers) and
 is tested by a rising and a falling sinusoid over its two segments, so every
 entry is a sum of integrals of one (edge, segment) pair, and each integral
-serves all the mode pairs that use it. The fill is one loop over element
-pairs p <= q. An integral depends only on where the segment of q lies as
-seen from the edge of p, and on the distance between the wires, so each
-block takes its edge-to-segment offsets, folds each onto its mirror image,
-and integrates each distinct one once in a single kernel call. Built
-elements are exactly antisymmetric about z = 0, so on a segmented beam the
-mirror halves every block. Because the matrix is symmetric, one value is
-written to both mirror places of each entry pair, so the returned matrix is
-exactly symmetric.
+serves all the mode pairs that use it. The integrals are exact: a sinusoid
+against the spherical wave integrates to sine and cosine integrals of the
+segment's ends (the classical mutual impedance of sinusoidal dipoles), so
+an integral needs only a table, per element pair, of one function of the
+signed offset of a segment end from an edge. The fill is one loop over
+element pairs p <= q, each tabulating its distinct offsets, and the whole
+fill evaluates Si and Ci in one call (numpy only, yagilab.special). Because
+the matrix is symmetric, one value is written to both mirror places of each
+entry pair, so the returned matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -36,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DiscretizationError, DomainError, GeometryError, SolverError
 from .geometry import SPEED_OF_LIGHT, ElementRole, YagiDesign
+from .special import sici
 
 MU_0 = 4.0e-7 * math.pi
 ETA_0 = MU_0 * SPEED_OF_LIGHT  # wave impedance consistent with the project's c
@@ -47,10 +44,9 @@ ETA_0 = MU_0 * SPEED_OF_LIGHT  # wave impedance consistent with the project's c
 DEFAULT_SEGMENTS_PER_ELEMENT = 21
 GAIN_FLOOR_DBI = -180.0
 
-_AXIAL_QUAD_ORDER = 16
 _RING_QUAD_ORDER = 32
 _PATTERN_QUAD_ORDER = 12
-_PIVOT_RATIO_LIMIT = 1e-12
+_CONDITION_LIMIT = 1e12  # lower bound of cond_1(Z) above which a solve is refused
 
 # power-normalization quadrature (independent of the returned sample grid)
 _POWER_THETA_ORDER = 64
@@ -391,41 +387,6 @@ def _cis(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_integrals(
-    k: float,
-    center: float,
-    rho: np.ndarray,
-    rho_weights: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rising and falling sinusoid integrals of segments against one wave center.
-
-    For each segment [lo, hi] returns the sums over the distances rho
-    (weighted by rho_weights) of
-        rise = integral over [lo, hi] of sin(k(z - lo)) e^{-jkR}/R dz,
-        fall = integral over [lo, hi] of sin(k(hi - z)) e^{-jkR}/R dz,
-    with R = hypot(z - center, rho). rho holds the distance nodes, shared by
-    every segment: one node of weight 1 at the axis distance gives the
-    wire-to-wire kernel, the ring nodes give the azimuthally averaged
-    same-wire kernel. Both integrals share their quadrature nodes and
-    spherical wave.
-    """
-    lo, hi = lo[:, None, None], hi[:, None, None]
-    rho = rho[..., None]
-    t_lo = np.arcsinh((lo - center) / rho)
-    t_hi = np.arcsinh((hi - center) / rho)
-    mid = 0.5 * (t_hi + t_lo)
-    half = 0.5 * (t_hi - t_lo)
-    nodes, weights = _gauss(_AXIAL_QUAD_ORDER)
-    t = mid + half * nodes
-    z = center + rho * np.sinh(t)
-    wave = _cis(-k * rho * np.cosh(t)) * weights
-    rise = (np.sin(k * (z - lo)) * wave).sum(axis=-1) * half[..., 0]
-    fall = (np.sin(k * (hi - z)) * wave).sum(axis=-1) * half[..., 0]
-    return rise @ rho_weights, fall @ rho_weights
-
-
 def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     """Dense complex-symmetric moment matrix of a mode basis at one frequency.
 
@@ -438,15 +399,23 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     rising and a falling sinusoid over its two segments, so one integral of
     an (edge, segment) pair serves every mode pair that uses it.
 
-    One loop over element pairs p <= q fills every block the same way. The
-    segments of q are taken as offsets (lo, hi) from each edge of p and
-    snapped to p's lattice (its span over a whole number of its narrowest
-    segments) when all lie on it to roundoff. Each offset is folded onto its
-    mirror image (-hi, -lo), which has rising and falling swapped, and each
-    distinct offset is integrated once: with the ring kernel of p's radius
-    when p == q, with the axis kernel at the wires' distance otherwise. An
-    off-centre grid runs the same path and only finds fewer repeats. A
-    wire-to-wire block is written to both of its places, and a same-wire
+    The integrals are exact. With u the offset of a point of q from an edge
+    of p, R = hypot(u, rho) and w(u) = R - u, du/R = -dw/w, so a sinusoid
+    against e^{-jkR}/R integrates to F(x) = Ci(x) - j Si(x) at x = k w of
+    the segment's ends; R + u is w(-u). Each element pair p <= q takes the
+    offsets U of q's edges from p's edges, snapped to p's lattice (its span
+    over a whole number of its narrowest segments) when all lie on it to
+    roundoff, and tabulates W(u) = sum over the distance nodes rho of
+    weight * F(k w(u, rho)) once per distinct offset in U and -U: with the
+    ring nodes of p's radius when p == q, at the wires' axis distance
+    otherwise. The phases e^{-jku} do not depend on rho, so for a segment
+    [lo, hi] of q
+        2j rise = e^{-jk lo} (W(lo) - W(hi)) - e^{jk lo} (W(-hi) - W(-lo)),
+        2j fall = e^{jk hi} (W(-hi) - W(-lo)) - e^{-jk hi} (W(lo) - W(hi)).
+    Every pair's arguments go through one Si/Ci call per fill. For u > 0,
+    w = rho * (rho / (R + u)), so nothing cancels and rho^2 is never formed.
+
+    A wire-to-wire block is written to both of its places, and a same-wire
     block is averaged with its transpose, since modes of unequal widths
     whose supports meet give the two orders values up to ~1e-11 apart. The
     result is exactly symmetric.
@@ -472,6 +441,7 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     )
     seg_lo, seg_hi, below = basis.seg_lo, basis.seg_hi, basis.below
     owns = [slice(below[a], below[a] + b - a + 1) for a, b in basis.groups]  # each element's segments
+    edges = [np.append(seg_lo[own], seg_hi[own.stop - 1]) for own in owns]
 
     def block(rise: np.ndarray, fall: np.ndarray, src: slice, obs: slice, first_seg: int) -> np.ndarray:
         """Entries [source n, observation i] from the integrals of n's edges."""
@@ -480,36 +450,55 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
         c = coefs[src]
         return c[:, 0:1] * h[:-2] + c[:, 1:2] * h[1:-1] + c[:, 2:3] * h[2:]
 
-    for p, ((a, b), own) in enumerate(zip(basis.groups, owns)):
-        e = np.append(seg_lo[own], seg_hi[own.stop - 1])  # p's edges
+    pairs, args = [], []
+    for p, e in enumerate(edges):
         span = e[-1] - e[0]
         step = span / np.rint(span / np.min(np.diff(e)))
-        for (c, d), other in zip(basis.groups[p:], owns[p:]):  # element q >= p
-            # q's segment ends as offsets from p's edges, snapped to exact
-            # multiples of p's lattice step when all lie on it to roundoff
-            ends = np.stack([seg_lo[other] - e[:, None], seg_hi[other] - e[:, None]])
-            snapped = np.rint(ends / step) * step
-            if np.max(np.abs(snapped - ends)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
-                ends = snapped
-            lo, hi = ends
-            # the mirror image of (lo, hi) is (-hi, -lo) with rising and falling
-            # swapped, so each distinct offset pair or its image is integrated once
-            mirror = lo + hi < 0
-            keys, at = np.unique(np.where(mirror, -hi - 1j * lo, lo + 1j * hi), return_inverse=True)
-            if c == a:
+        a = basis.groups[p][0]
+        for q in range(p, len(edges)):
+            # q's edges as offsets from p's edges, snapped to exact multiples
+            # of p's lattice step when all lie on it to roundoff
+            offsets = edges[q] - e[:, None]
+            snapped = np.rint(offsets / step) * step
+            if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
+                offsets = snapped
+            # W is needed at every offset u and at -u
+            keys, at = np.unique(np.concatenate([offsets, -offsets]), return_inverse=True)
+            c = basis.groups[q][0]
+            if q == p:
                 rho, rho_weights = 2.0 * basis.radius[a] * np.sin(ring_phi / 2.0), ring_weights
             else:
                 rho, rho_weights = np.hypot(basis.x[c] - basis.x[a], basis.y[c] - basis.y[a])[None], axis_weight
-            rise_of, fall_of = _segment_integrals(k, 0.0, rho, rho_weights, keys.real, keys.imag)
-            at = at.reshape(lo.shape)
-            rise, fall = np.where(mirror, fall_of[at], rise_of[at]), np.where(mirror, rise_of[at], fall_of[at])
-            pair_block = block(rise, fall, slice(a, b), slice(c, d), other.start)
-            if c == a:
-                z[a:b, a:b] = 0.5 * (pair_block + pair_block.T)
-            else:
-                z[a:b, c:d] = pair_block
-                z[c:d, a:b] = pair_block.T
-    z *= 1j * ETA_0 / (4.0 * math.pi * basis.feed_length_m)
+            u = np.abs(keys)[:, None]
+            r_plus = np.hypot(u, rho) + u  # w(-|u|)
+            args.append(k * np.where(keys[:, None] > 0, rho * (rho / r_plus), r_plus).ravel())
+            pairs.append((p, q, offsets, at.reshape(2, *offsets.shape), rho_weights))
+
+    x = np.concatenate(args)
+    if not np.min(x) > 0.0:  # k w underflows only for a wire thinner than about 1e-160 m
+        raise GeometryError(
+            f"wire radius {float(np.min(basis.radius)):.4g} m is too thin for a finite kernel"
+            f" at {f / 1e6:g} MHz"
+        )
+    si, ci = sici(x)
+    table = np.split(ci - 1j * si, np.cumsum([pair_args.size for pair_args in args[:-1]]))
+    for (p, q, offsets, at, rho_weights), values in zip(pairs, table):
+        w_table = values.reshape(-1, rho_weights.size) @ rho_weights
+        w_pos, w_neg = w_table[at]  # W(u), W(-u)
+        down = w_pos[:, :-1] - w_pos[:, 1:]  # W(lo) - W(hi)
+        up = w_neg[:, 1:] - w_neg[:, :-1]  # W(-hi) - W(-lo)
+        phase = _cis(-k * offsets)  # e^{-jku}
+        rise = phase[:, :-1] * down - phase[:, :-1].conj() * up
+        fall = phase[:, 1:].conj() * up - phase[:, 1:] * down
+        (a, b), (c, d) = basis.groups[p], basis.groups[q]
+        pair_block = block(rise, fall, slice(a, b), slice(c, d), owns[q].start)
+        if q == p:
+            z[a:b, a:b] = 0.5 * (pair_block + pair_block.T)
+        else:
+            z[a:b, c:d] = pair_block
+            z[c:d, a:b] = pair_block.T
+    # rise and fall above are 2j times the integrals
+    z *= ETA_0 / (8.0 * math.pi * basis.feed_length_m)
     return z
 
 
@@ -554,7 +543,14 @@ def _check_array_extent(k: float, basis: ModeBasis, frequency_hz: float) -> None
 
 
 def solve_currents(matrix: np.ndarray, basis: ModeBasis, frequency_hz: float) -> CurrentSolution:
-    """LU solve of a 1 V delta-gap excitation (1/feed_length in the gap row)."""
+    """LU solve of a 1 V delta-gap excitation (1/feed_length in the gap row).
+
+    The gap column is solved in one call with four fixed +-1 columns b_j.
+    Since ||Z^-1 b||_1 <= ||Z^-1||_1 ||b||_1, the largest ||x_j||_1 / ||b_j||_1
+    times ||Z||_1 is a lower bound of the 1-norm condition number of Z (the
+    first step of Hager's estimator). SolverError is raised when it exceeds
+    1e12, and with an estimate of inf when LU meets an exactly zero pivot.
+    """
     f = _check_frequency(frequency_hz)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -567,24 +563,24 @@ def solve_currents(matrix: np.ndarray, basis: ModeBasis, frequency_hz: float) ->
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
         raise DomainError("moment matrix contains non-finite entries")
 
-    rhs = np.zeros(basis.n_modes, dtype=complex)
-    rhs[basis.feed_mode] = 1.0 / basis.feed_length_m
-
+    m = basis.n_modes
+    rhs = np.zeros((m, 5), dtype=complex)
+    rhs[basis.feed_mode, 0] = 1.0 / basis.feed_length_m
+    # column j + 1 flips sign every 2^j rows, so two rows whose indices differ
+    # in one of their four lowest bits get opposite signs in some column, and
+    # a null vector e_i - e_j of a repeated row shows in that column's solution
+    rhs[:, 1:] = 1.0 - 2.0 * ((np.arange(m)[:, None] >> np.arange(4)) & 1)
     try:
-        lu, piv = scipy.linalg.lu_factor(matrix)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"moment matrix factorization failed: {exc}") from None
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < _PIVOT_RATIO_LIMIT * pivots.max():
-        anorm = np.linalg.norm(matrix, 1)
-        gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))[0]
-        rcond, _ = gecon(lu, anorm)
-        cond = math.inf if rcond == 0 else 1.0 / rcond
-        raise SolverError(
-            f"moment matrix is numerically singular (condition estimate {cond:.3e})"
-        )
-    amplitudes = scipy.linalg.lu_solve((lu, piv), rhs)
-    residual = float(np.linalg.norm(matrix @ amplitudes - rhs) / np.linalg.norm(rhs))
+        x = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        cond = math.inf
+    else:
+        growth = np.max(np.abs(x).sum(axis=0) / np.abs(rhs).sum(axis=0))
+        cond = float(np.linalg.norm(matrix, 1) * growth)
+    if not cond <= _CONDITION_LIMIT:
+        raise SolverError(f"moment matrix is numerically singular (condition estimate {cond:.3e})")
+    amplitudes = x[:, 0]
+    residual = float(np.linalg.norm(matrix @ amplitudes - rhs[:, 0]) / np.linalg.norm(rhs[:, 0]))
     return CurrentSolution(
         amplitudes=amplitudes,
         basis=basis,

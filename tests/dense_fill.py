@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from yagilab.em_solver import (
-    _AXIAL_QUAD_ORDER,
     _RING_QUAD_ORDER,
     ETA_0,
     WireGrid,
@@ -25,6 +24,8 @@ from yagilab.em_solver import (
 )
 from yagilab.errors import DomainError, GeometryError
 from yagilab.geometry import SPEED_OF_LIGHT
+
+_AXIAL_QUAD_ORDER = 32
 
 
 def _tent_integrals(

@@ -12,7 +12,6 @@ from yagilab import em_solver
 from yagilab.em_solver import (
     WireGrid,
     _build_grid,
-    _segment_integrals,
     dipole_grid,
     far_field,
     frequency_sweep,
@@ -20,10 +19,12 @@ from yagilab.em_solver import (
     input_impedance,
     mode_basis,
     segment,
+    solve_currents,
     solve_grid,
 )
-from yagilab.errors import DiscretizationError, DomainError, GeometryError
+from yagilab.errors import DiscretizationError, DomainError, GeometryError, SolverError
 from yagilab.geometry import SPEED_OF_LIGHT, build_design
+from yagilab.special import sici
 
 F0 = 900e6
 LAM = SPEED_OF_LIGHT / F0
@@ -117,6 +118,33 @@ def test_impedance_converges_monotonically():
 def test_solution_residual_is_tiny(dipole51):
     _, sol = dipole51
     assert sol.residual < 1e-10
+
+
+def _duplicate_row_and_column(z):
+    z[5], z[:, 5] = z[2], z[:, 2]
+
+
+def _sum_rows_and_columns(z):
+    z[3] = z[1] + z[2]
+    z[:, 3] = z[:, 1] + z[:, 2]
+
+
+def _zero_row_and_column(z):
+    z[4], z[:, 4] = 0.0, 0.0
+
+
+@pytest.mark.parametrize(
+    "make_singular",
+    [_duplicate_row_and_column, _sum_rows_and_columns, _zero_row_and_column],
+    ids=["duplicated", "summed", "zeroed"],
+)
+def test_singular_matrix_raises_solver_error_with_a_condition_estimate(make_singular):
+    """Exactly singular and rank deficient to roundoff both fail with a condition estimate."""
+    basis = mode_basis(segment(build_design("nbs", F0, 0.005), 7))
+    z = impedance_matrix(basis, 905e6)
+    make_singular(z)
+    with pytest.raises(SolverError, match=r"condition estimate (inf|\d\.\d{3}e\+\d+)\)"):
+        solve_currents(z, basis, 905e6)
 
 
 def test_default_matrix_is_exactly_symmetric():
@@ -314,6 +342,16 @@ def test_structured_fill_matches_dense_oracle_property(data, n_elements, segs, s
     assert _oracle_defect(_build_grid(rows, segs, feed), f_hz) <= 1e-12
 
 
+def test_thin_three_segment_wire_matches_dense_oracle():
+    """A thin wire of three 0.094-wavelength segments, where 16 axial nodes are 6.7e-12 off.
+
+    The exact fill is within 3e-15 of the oracle at 32 and at 96 axial nodes.
+    """
+    f_hz = 300e6
+    lam = SPEED_OF_LIGHT / f_hz
+    grid = _build_grid([(0.0, 0.0, 3 * 0.094 * lam, 5e-5 * lam, 0)], 3, 0)
+    assert _oracle_defect(grid, f_hz) <= 1e-12
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
@@ -401,77 +439,33 @@ def test_element_shifted_along_its_axis_matches_dense_oracle():
     assert _oracle_defect(grid, F0) <= 1e-12
 
 
-def test_segment_integrals_reflect_about_the_wave_center():
-    """On a uniform wire, fall at offset d from the first edge is rise at -d - 1.
+@pytest.mark.parametrize("segs", [3, 7, 21, 41])
+def test_fill_makes_one_sici_call(monkeypatch, segs):
+    """The whole fill evaluates Si and Ci in one call, once per distinct offset and distance node.
 
-    The mirror image of the wire about its center swaps the first and last
-    edges and turns each falling sinusoid into a rising one, which is what
-    lets the same-wire fill integrate an offset and its mirror image once.
-    """
-    k = 2.0 * math.pi / LAM
-    edges = np.linspace(-0.25 * LAM, 0.25 * LAM, 12)
-    nodes = np.linspace(0.1, 3.0, 5)
-    ring = (2e-3 * LAM * np.sin(nodes / 2.0))[None, :]
-    weights = np.full(nodes.size, 0.2)
-    lo, hi = edges[:-1], edges[1:]
-    rise_first, fall_first = _segment_integrals(k, edges[0], ring, weights, lo, hi)
-    rise_last, fall_last = _segment_integrals(k, edges[-1], ring, weights, lo, hi)
-    for got, want in ((fall_first, rise_last[::-1]), (rise_first, fall_last[::-1])):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("segs", [3, 21, 41])
-def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
-    """A segmented beam's same-wire blocks snap to their lattice and deduplicate.
-
-    A uniform element of N segments has N distinct offsets up to mirror
-    images, and the driven element, with its feed segment split, about 2.5N.
-    Were the snap to miss, the fill would integrate up to (N+1)(N+2) pairs
-    per element and only run slower, so the count itself is checked.
+    A same-wire block needs the offsets between -N and N lattice steps at
+    every ring node: 2N + 1 of them on a uniform element of N segments, 3N + 2
+    on the driven one, whose split feed segment halves its step. A
+    wire-to-wire block needs at most one per pair of edges. Were the snap to
+    miss, the same-wire blocks would take many more offsets (6075 instead of
+    4077 arguments at 7 segments) and the fill would only run slower, so the
+    count itself is checked.
     """
     sizes = []
 
-    def spy(k, center, rho, rho_weights, lo, hi):
-        if rho_weights.size > 1:  # the ring kernel: a same-wire call
-            sizes.append(lo.size)
-        return _segment_integrals(k, center, rho, rho_weights, lo, hi)
+    def spy(x):
+        sizes.append(x.size)
+        return sici(x)
 
-    monkeypatch.setattr(em_solver, "_segment_integrals", spy)
-    basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
-    impedance_matrix(basis, 905e6)
-    driven = [a <= basis.feed_mode < b for a, b in basis.groups]
-    assert len(sizes) == len(driven) == 6
-    for size, is_driven in zip(sizes, driven):
-        assert size <= (3 * segs if is_driven else segs + 1)
-
-
-@pytest.mark.parametrize("segs", [3, 21, 41])
-def test_fill_makes_one_kernel_call_per_element_pair(monkeypatch, segs):
-    """Every element pair's block is one kernel call over its folded offsets.
-
-    The beam is symmetric about z = 0, so a wire-to-wire block needs at most
-    half of its (edge, segment) pairs, plus one per edge for a segment
-    centred on that edge, which is its own mirror image. Were the fold to
-    miss, the fill would only run slower, so the count itself is checked.
-    """
-    axis_sizes = []
-    calls = 0
-
-    def spy(k, center, rho, rho_weights, lo, hi):
-        nonlocal calls
-        calls += 1
-        if rho_weights.size == 1:  # the axis kernel: a wire-to-wire call
-            axis_sizes.append(lo.size)
-        return _segment_integrals(k, center, rho, rho_weights, lo, hi)
-
-    monkeypatch.setattr(em_solver, "_segment_integrals", spy)
+    monkeypatch.setattr(em_solver, "sici", spy)
     basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
     impedance_matrix(basis, 905e6)
     edges = [b - a + 2 for a, b in basis.groups]
     n = len(edges)
-    assert calls == n * (n + 1) // 2 == 21
-    bound = sum(edges[p] * (edges[q] - 1) / 2 + edges[p] for p in range(n) for q in range(p + 1, n))
-    assert sum(axis_sizes) <= bound
+    same_wire = ((n - 1) * (2 * segs + 1) + 3 * segs + 2) * em_solver._RING_QUAD_ORDER
+    wire_to_wire = sum(edges[p] * edges[q] for p in range(n) for q in range(p + 1, n))
+    assert len(sizes) == 1
+    assert sizes[0] <= same_wire + wire_to_wire
 
 
 def test_mode_basis_segment_table():
