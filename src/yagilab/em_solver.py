@@ -387,6 +387,19 @@ def _cis(angle: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_arguments(k: float, offsets: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One element pair's Si/Ci arguments k w(u, rho), once per distinct offset in U and -U.
+
+    Returns the arguments, distinct offsets by distance nodes, flattened, and
+    the index of W(u) and of W(-u) for every offset u of the pair.
+    """
+    keys, at = np.unique(np.concatenate([offsets, -offsets]), return_inverse=True)
+    u = np.abs(keys)[:, None]
+    r_plus = np.hypot(u, rho) + u  # w(-|u|)
+    args = k * np.where(keys[:, None] > 0, rho * (rho / r_plus), r_plus).ravel()
+    return args, at.reshape(2, *offsets.shape)
+
+
 def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     """Dense complex-symmetric moment matrix of a mode basis at one frequency.
 
@@ -462,17 +475,14 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
             snapped = np.rint(offsets / step) * step
             if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
                 offsets = snapped
-            # W is needed at every offset u and at -u
-            keys, at = np.unique(np.concatenate([offsets, -offsets]), return_inverse=True)
             c = basis.groups[q][0]
             if q == p:
                 rho, rho_weights = 2.0 * basis.radius[a] * np.sin(ring_phi / 2.0), ring_weights
             else:
                 rho, rho_weights = np.hypot(basis.x[c] - basis.x[a], basis.y[c] - basis.y[a])[None], axis_weight
-            u = np.abs(keys)[:, None]
-            r_plus = np.hypot(u, rho) + u  # w(-|u|)
-            args.append(k * np.where(keys[:, None] > 0, rho * (rho / r_plus), r_plus).ravel())
-            pairs.append((p, q, offsets, at.reshape(2, *offsets.shape), rho_weights))
+            pair_args, at = _kernel_arguments(k, offsets, rho)
+            args.append(pair_args)
+            pairs.append((p, q, offsets, at, rho_weights))
 
     x = np.concatenate(args)
     if not np.min(x) > 0.0:  # k w underflows only for a wire thinner than about 1e-160 m

@@ -12,6 +12,7 @@ from yagilab import em_solver
 from yagilab.em_solver import (
     WireGrid,
     _build_grid,
+    _kernel_arguments,
     dipole_grid,
     far_field,
     frequency_sweep,
@@ -437,6 +438,59 @@ def test_element_shifted_along_its_axis_matches_dense_oracle():
     end[moved, 2] += 0.03 * LAM
     grid = WireGrid(start, end, base.radius, base.element, base.feed_segment)
     assert _oracle_defect(grid, F0) <= 1e-12
+
+
+def _spy_kernel_arguments(monkeypatch):
+    """Record (distance nodes, distinct offsets, offsets) of every element pair's argument table."""
+    calls = []
+
+    def spy(k, offsets, rho):
+        args, at = _kernel_arguments(k, offsets, rho)
+        calls.append((rho.size, args.size // rho.size, offsets.size))
+        return args, at
+
+    monkeypatch.setattr(em_solver, "_kernel_arguments", spy)
+    return calls
+
+
+@pytest.mark.parametrize("segs", [3, 21, 41])
+def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
+    """A segmented beam's same-wire blocks snap to their lattice and deduplicate.
+
+    A uniform element of N segments has the 2N + 1 offsets between -N and N
+    lattice steps, and the driven element, whose split feed segment halves
+    its step, 3N + 2. Were the snap to miss, the fill would tabulate up to
+    2(N+1)^2 offsets per element and only run slower, so the count itself is
+    checked.
+    """
+    calls = _spy_kernel_arguments(monkeypatch)
+    basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
+    impedance_matrix(basis, 905e6)
+    sizes = [n_offsets for n_rho, n_offsets, _ in calls if n_rho > 1]  # the ring nodes: same-wire
+    driven = [a <= basis.feed_mode < b for a, b in basis.groups]
+    assert len(sizes) == len(driven) == 6
+    for size, is_driven in zip(sizes, driven):
+        assert size == (3 * segs + 2 if is_driven else 2 * segs + 1)
+
+
+@pytest.mark.parametrize("segs", [3, 21, 41])
+def test_fill_makes_one_kernel_call_per_element_pair(monkeypatch, segs):
+    """Every element pair's block tabulates its kernel arguments in one call.
+
+    The beam is symmetric about z = 0, so the negated offsets of a
+    wire-to-wire block are offsets of that block too, and it tabulates no
+    more distinct offsets than it has (edge, edge) pairs. Were the fold to
+    miss, the fill would only run slower, so the count itself is checked.
+    """
+    calls = _spy_kernel_arguments(monkeypatch)
+    basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
+    impedance_matrix(basis, 905e6)
+    n = len(basis.groups)
+    assert len(calls) == n * (n + 1) // 2 == 21
+    wire_to_wire = [(n_offsets, n_pairs) for n_rho, n_offsets, n_pairs in calls if n_rho == 1]
+    assert len(wire_to_wire) == n * (n - 1) // 2
+    for n_offsets, n_pairs in wire_to_wire:
+        assert n_offsets <= n_pairs
 
 
 @pytest.mark.parametrize("segs", [3, 7, 21, 41])
