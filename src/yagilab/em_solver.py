@@ -65,70 +65,51 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class WireGrid:
-    """Segmented wire layout: one row per segment, grouped by element."""
+    """Segmented rods parallel to the z axis: one row per rod (element).
 
-    start: np.ndarray  # (n, 3) segment start points, meters
-    end: np.ndarray  # (n, 3) segment end points
-    radius: np.ndarray  # (n,) wire radius per segment
-    element: np.ndarray  # (n,) owning element index
-    feed_segment: int  # global index of the delta-gap segment
+    Rod e stands at (x[e], y[e]) with radius radius[e]; edges[e] holds the
+    increasing z of its segment ends. The delta gap sits at the center of
+    feed_element's middle segment.
+    """
+
+    x: np.ndarray  # (r,) rod x, meters
+    y: np.ndarray  # (r,) rod y
+    radius: np.ndarray  # (r,) rod radius
+    edges: tuple[np.ndarray, ...]  # per rod, the z of its segment ends
+    feed_element: int  # rod whose middle segment holds the gap
 
     @property
     def n_segments(self) -> int:
-        return int(self.start.shape[0])
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.start + self.end)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.end - self.start, axis=1)
+        return sum(z.size - 1 for z in self.edges)
 
     def validate(self) -> list[str]:
         """Structural checks; returns human-readable violations (empty if valid)."""
-        v: list[str] = []
-        n = self.n_segments
+        n = len(self.edges)
         if n == 0:
-            return ["grid has no segments"]
-        if not 0 <= self.feed_segment < n:
-            v.append(f"feed segment {self.feed_segment} out of range 0..{n - 1}")
-            return v
-        lengths = self.lengths
-        if np.any(lengths <= 0):
-            v.append("zero-length segment present")
-        bad = np.flatnonzero(~(np.isfinite(self.radius) & (self.radius > 0)))
-        if bad.size:
-            v.append(
-                f"segment {bad[0]} of element {int(self.element[bad[0]])} has a non-positive"
-                f" or non-finite radius {float(self.radius[bad[0]])!r}"
-            )
-        transverse = self.end[:, :2] - self.start[:, :2]
-        if np.any(np.abs(transverse) > 1e-12):
-            v.append("segments must be parallel to the z axis")
-        # thin-wire validity: a segment shorter than its own radius leaves the
-        # wire better modeled as a fat cylinder than a line current
-        bad = np.nonzero(lengths <= self.radius)[0]
-        if bad.size:
-            v.append(
-                f"segment {bad[0]} of element {int(self.element[bad[0]])} shorter than its radius"
-            )
-        for e in np.unique(self.element):
-            idx = np.nonzero(self.element == e)[0]
-            if idx.size % 2 == 0:
-                v.append(f"element {int(e)} has an even segment count {idx.size}")
-            seg_l = lengths[idx]
-            if seg_l.size and not np.allclose(seg_l, seg_l[0], rtol=1e-9, atol=0):
-                v.append(f"element {int(e)} segments are not uniform")
-            ends = self.end[idx[:-1]]
-            starts = self.start[idx[1:]]
-            if idx.size > 1 and not np.allclose(ends, starts, rtol=0, atol=1e-12):
-                v.append(f"element {int(e)} segments are not contiguous")
-        feed_elem = self.element[self.feed_segment]
-        idx = np.nonzero(self.element == feed_elem)[0]
-        within = int(np.nonzero(idx == self.feed_segment)[0][0])
-        if idx.size % 2 == 1 and within != (idx.size - 1) // 2:
-            v.append("feed segment is not centered on its element")
+            return ["grid has no elements"]
+        if not len(self.x) == len(self.y) == len(self.radius) == n:
+            return [
+                f"rod table columns differ in length: x {len(self.x)}, y {len(self.y)},"
+                f" radius {len(self.radius)}, edges {n}"
+            ]
+        if not 0 <= self.feed_element < n:
+            return [f"feed element {self.feed_element} out of range 0..{n - 1}"]
+        v: list[str] = []
+        for e, (z, radius) in enumerate(zip(self.edges, self.radius)):
+            if not (math.isfinite(radius) and radius > 0):
+                v.append(f"element {e} has a non-positive or non-finite radius {float(radius)!r}")
+            lengths = np.diff(z) if z.ndim == 1 and np.all(np.isfinite(z)) else np.zeros(0)
+            if not (lengths.size and np.all(lengths > 0)):
+                v.append(f"element {e} segment ends are not finite and increasing")
+                continue
+            if lengths.size % 2 == 0:
+                v.append(f"element {e} has an even segment count {lengths.size}")
+            if not np.allclose(lengths, lengths[0], rtol=1e-9, atol=0):
+                v.append(f"element {e} segments are not uniform")
+            # thin-wire validity: a segment shorter than its own radius leaves the
+            # wire better modeled as a fat cylinder than a line current
+            if np.any(lengths <= radius):
+                v.append(f"element {e} has a segment shorter than its radius")
         return v
 
 
@@ -268,7 +249,7 @@ def _check_segment_count(segs_per_element: int) -> int:
 
 def _build_grid(rows: list[tuple[float, float, float, float, int]], segs: int, feed_element: int) -> WireGrid:
     """rows: (x, y, length, radius, element_index) per element."""
-    starts, ends, radii, owners = [], [], [], []
+    edges = []
     for x, y, length, radius, index in rows:
         for axis, coord in (("x", x), ("y", y)):
             if not math.isfinite(coord):
@@ -284,34 +265,26 @@ def _build_grid(rows: list[tuple[float, float, float, float, int]], segs: int, f
                 f" wire radius {radius:.4g} m; use fewer segments or a thinner rod"
             )
         z_edges = np.linspace(-length / 2.0, length / 2.0, segs + 1)
-        z_edges = 0.5 * (z_edges - z_edges[::-1])  # exactly antisymmetric about z = 0
-        for z0, z1 in zip(z_edges[:-1], z_edges[1:]):
-            starts.append((x, y, z0))
-            ends.append((x, y, z1))
-            radii.append(radius)
-            owners.append(index)
-    feed = feed_element * segs + segs // 2
-    return WireGrid(
-        start=np.asarray(starts, dtype=float),
-        end=np.asarray(ends, dtype=float),
-        radius=np.asarray(radii, dtype=float),
-        element=np.asarray(owners, dtype=int),
-        feed_segment=feed,
-    )
+        edges.append(0.5 * (z_edges - z_edges[::-1]))  # exactly antisymmetric about z = 0
+    x, y, _, radius, _ = np.array(rows, dtype=float).reshape(-1, 5).T
+    return WireGrid(x=x, y=y, radius=radius, edges=tuple(edges), feed_element=feed_element)
 
 
 def segment(design: YagiDesign, segs_per_element: int = DEFAULT_SEGMENTS_PER_ELEMENT) -> WireGrid:
-    """Subdivide every element into the same odd number of uniform segments."""
+    """Subdivide every element into the same odd number of uniform segments.
+
+    Raises DomainError unless exactly one element is driven.
+    """
     segs = _check_segment_count(segs_per_element)
-    rows = []
-    feed_element = None
-    for i, e in enumerate(design.elements):
-        rows.append((e.position_m, 0.0, e.length_m, e.diameter_m / 2.0, i))
-        if e.role is ElementRole.DRIVEN:
-            feed_element = i
-    if feed_element is None:
+    driven = [i for i, e in enumerate(design.elements) if e.role is ElementRole.DRIVEN]
+    if not driven:
         raise DomainError("design has no driven element to feed")
-    return _build_grid(rows, segs, feed_element)
+    if len(driven) > 1:
+        raise DomainError(
+            f"design has {len(driven)} driven elements ({', '.join(map(str, driven))}); only one can be fed"
+        )
+    rows = [(e.position_m, 0.0, e.length_m, e.diameter_m / 2.0, i) for i, e in enumerate(design.elements)]
+    return _build_grid(rows, segs, driven[0])
 
 
 def dipole_grid(length_m: float, radius_m: float, segments: int) -> WireGrid:
@@ -330,31 +303,31 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
     violations = grid.validate()
     if violations:
         raise GeometryError("; ".join(violations))
-    first: list[int] = []  # first grid segment of each mode's element
-    groups, edges = [], []
-    for e in np.unique(grid.element):
-        idx = np.flatnonzero(grid.element == e)
-        z = np.append(grid.start[idx, 2], grid.end[idx[-1], 2])
-        if grid.feed_segment in idx:
-            within = int(np.flatnonzero(idx == grid.feed_segment)[0])
-            feed_mode = len(first) + within
-            feed_center = 0.5 * (grid.start[grid.feed_segment, 2] + grid.end[grid.feed_segment, 2])
-            z = np.insert(z, within + 1, feed_center)
+    rods, groups, edges = [], [], []  # per element with modes: its rod, mode range, split edges
+    m = 0
+    for e, z in enumerate(grid.edges):
+        if e == grid.feed_element:
+            within = (z.size - 2) // 2  # the middle segment
+            feed_mode = m + within
+            feed_length = float(z[within + 1] - z[within])
+            z = np.insert(z, within + 1, 0.5 * (z[within] + z[within + 1]))
         if z.size > 2:
-            groups.append((len(first), len(first) + z.size - 2))
-            first += [int(idx[0])] * (z.size - 2)
+            rods.append(e)
+            groups.append((m, m + z.size - 2))
             edges.append(z)
+            m += z.size - 2
     widths = [np.diff(z) for z in edges]
+    element = np.repeat(rods, [b - a for a, b in groups])
     basis = ModeBasis(
-        x=grid.start[first, 0],
-        y=grid.start[first, 1],
+        x=grid.x[element],
+        y=grid.y[element],
         z_peak=np.concatenate([z[1:-1] for z in edges]),
         w_lo=np.concatenate([w[:-1] for w in widths]),
         w_hi=np.concatenate([w[1:] for w in widths]),
-        radius=grid.radius[first],
-        element=grid.element[first],
+        radius=grid.radius[element],
+        element=element,
         feed_mode=feed_mode,
-        feed_length_m=float(grid.lengths[grid.feed_segment]),
+        feed_length_m=feed_length,
         groups=tuple(groups),
         seg_lo=np.concatenate([z[:-1] for z in edges]),
         seg_hi=np.concatenate([z[1:] for z in edges]),
@@ -517,8 +490,8 @@ def _check_wire_spacing(basis: ModeBasis) -> None:
 
     Pairs are taken in (lower, higher) index order.
     """
-    elements, first = np.unique(basis.element, return_index=True)
-    x, y, radius = basis.x[first], basis.y[first], basis.radius[first]
+    first = [a for a, _ in basis.groups]
+    elements, x, y, radius = basis.element[first], basis.x[first], basis.y[first], basis.radius[first]
     p, q = np.triu_indices(elements.size, k=1)
     with np.errstate(over="ignore"):  # too far apart is not too close; the fill checks it
         d = np.hypot(x[p] - x[q], y[p] - y[q])
@@ -539,7 +512,7 @@ def _check_array_extent(k: float, basis: ModeBasis, frequency_hz: float) -> None
     phases are taken from. An array that overflows them would fill the
     matrix with NaN.
     """
-    _, first = np.unique(basis.element, return_index=True)
+    first = [a for a, _ in basis.groups]
     x, y = np.append(basis.x[first], 0.0), np.append(basis.y[first], 0.0)
     p, q = np.triu_indices(x.size, k=1)
     with np.errstate(over="ignore"):

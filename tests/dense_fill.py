@@ -4,8 +4,10 @@ Every column is filled for every row: wire-to-wire entries with the
 axis-distance kernel, same-wire entries with the ring-averaged kernel, then
 the matrix is averaged with its transpose. The three functions below are the
 package's fill as it was before the structured fill replaced it, copied
-without edits; tests compare em_solver.impedance_matrix against it. It shares
-only the mode table, checks and constants with the package.
+without edits to the algorithm (its input guard checks the rod count, since
+a grid of z-directed rods cannot hold a wire that is not parallel to z);
+tests compare em_solver.impedance_matrix against it. It shares only the mode
+table, checks and constants with the package.
 """
 
 import math
@@ -22,7 +24,7 @@ from yagilab.em_solver import (
     _sin_widths,
     mode_basis,
 )
-from yagilab.errors import DomainError, GeometryError
+from yagilab.errors import DomainError
 from yagilab.geometry import SPEED_OF_LIGHT
 
 _AXIAL_QUAD_ORDER = 32
@@ -93,10 +95,8 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float, symmetrize: bool = Tru
     (Z + Z^T)/2 cleanup so that roundoff can be inspected.
     """
     f = _check_frequency(frequency_hz)
-    if grid.n_segments == 0:
-        raise DomainError("grid has no segments")
-    if np.any(np.abs((grid.end - grid.start)[:, :2]) > 1e-12):
-        raise GeometryError("solver requires all wires parallel to the z axis")
+    if len(grid.edges) == 0:
+        raise DomainError("grid has no elements")
     basis = mode_basis(grid)
     _check_wire_spacing(basis)
 

@@ -524,6 +524,22 @@ def test_simulate_solves_a_far_but_finite_rod(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])
+def test_simulate_rejects_a_design_with_two_driven_elements(tmp_path, capsys, flags):
+    """Only one element can hold the feed gap; a second driven element is an error, not ignored."""
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    data = json.loads(design.read_text())
+    data["elements"][2]["role"] = "driven"
+    design.write_text(json.dumps(data))
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "7", "--out", str(out), "--quiet", *flags])
+    assert rc == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err == "error: design has 2 driven elements (1, 2); only one can be fed\n"
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_special_out():
     """Importing the CLI loads no scipy module at all; numpy is the only runtime dependency.
 

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import far_field_halves
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
 from yagilab import em_solver
 from yagilab.em_solver import (
-    WireGrid,
     _build_grid,
     _kernel_arguments,
     dipole_grid,
@@ -42,20 +43,21 @@ def dipole51():
 def test_dipole_grid_structure():
     grid = dipole_grid(0.5 * LAM, 1e-4 * LAM, 51)
     assert grid.n_segments == 51
-    assert grid.feed_segment == 25
+    assert grid.feed_element == 0 and len(grid.edges) == 1  # the gap is in segment 25 of 51
     assert grid.validate() == []
-    assert np.allclose(grid.lengths, 0.5 * LAM / 51)
-    assert np.allclose(grid.centers[:, :2], 0.0)
+    assert np.allclose(np.diff(grid.edges[0]), 0.5 * LAM / 51)
+    assert np.array_equal(grid.x, [0.0]) and np.array_equal(grid.y, [0.0])
 
 
 def test_yagi_grid_layout():
     design = build_design("nbs", F0, 0.005)
     grid = segment(design, 11)
     assert grid.n_segments == 6 * 11
-    assert grid.feed_segment == 1 * 11 + 5  # driven element is second, gap centered
+    assert grid.feed_element == 1  # driven element is second, gap centered on its 11 segments
+    assert [z.size for z in grid.edges] == [12] * 6
     assert grid.validate() == []
-    xs = np.unique(grid.start[:, 0])
-    assert np.allclose(np.sort(xs), [e.position_m for e in design.elements])
+    assert np.allclose(grid.x, [e.position_m for e in design.elements])
+    assert np.array_equal(grid.radius, [e.diameter_m / 2.0 for e in design.elements])
 
 
 @pytest.mark.parametrize("segs", [2, 1, 0, -3, 4, 10])
@@ -245,16 +247,79 @@ def test_gain_lookup_on_and_off_grid(dipole51):
         ff.gain_at(90.0, 2.5)
 
 
+def _two_rods(**changes):
+    """A 5-segment driven rod and a 5-segment parasite, with some fields replaced."""
+    rows = [(0.0, 0.0, 0.5 * LAM, 1e-3, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3, 1)]
+    return replace(_build_grid(rows, 5, 0), **changes)
+
+
 @pytest.mark.parametrize("radius", [-1e-3, 0.0, math.nan, math.inf])
 def test_grid_rejects_non_positive_or_non_finite_radius(radius):
-    rows = [(0.0, 0.0, 0.5 * LAM, 1e-3, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3, 1)]
-    base = _build_grid(rows, 5, 0)
-    radii = base.radius.copy()
-    radii[5:] = radius
-    grid = WireGrid(base.start, base.end, radii, base.element, base.feed_segment)
-    message = f"segment 5 of element 1 has a non-positive or non-finite radius {radius!r}"
+    grid = _two_rods(radius=np.array([1e-3, radius]))
+    message = f"element 1 has a non-positive or non-finite radius {radius!r}"
     assert message in grid.validate()
-    with pytest.raises(GeometryError, match="segment 5 of element 1"):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}"):
+        solve_grid(grid, F0)
+
+
+def _parasite_edges(z):
+    return _two_rods().edges[:1] + (np.asarray(z, dtype=float),)
+
+
+STEP = 0.09 * LAM
+GRID_VIOLATIONS = {
+    "nan-end": (
+        lambda: _two_rods(edges=_parasite_edges([-2.5 * STEP, -STEP, math.nan, STEP, 2.5 * STEP])),
+        "element 1 segment ends are not finite and increasing",
+    ),
+    "infinite-end": (
+        lambda: _two_rods(edges=_parasite_edges([-math.inf, -STEP, 0.0, STEP, math.inf])),
+        "element 1 segment ends are not finite and increasing",
+    ),
+    "decreasing-ends": (
+        lambda: _two_rods(edges=_parasite_edges(np.linspace(2.5, -2.5, 6) * STEP)),
+        "element 1 segment ends are not finite and increasing",
+    ),
+    "repeated-end": (
+        lambda: _two_rods(edges=_parasite_edges([-STEP, 0.0, 0.0, STEP])),
+        "element 1 segment ends are not finite and increasing",
+    ),
+    "no-segment": (
+        lambda: _two_rods(edges=_parasite_edges([0.0])),
+        "element 1 segment ends are not finite and increasing",
+    ),
+    "even-count": (
+        lambda: _two_rods(edges=_parasite_edges(np.linspace(-2.0, 2.0, 5) * STEP)),
+        "element 1 has an even segment count 4",
+    ),
+    "non-uniform": (
+        lambda: _two_rods(edges=_parasite_edges(np.array([-2.5, -1.5, -0.5, 0.6, 1.5, 2.5]) * STEP)),
+        "element 1 segments are not uniform",
+    ),
+    "segment-not-above-radius": (
+        lambda: _two_rods(radius=np.array([1e-3, 0.1 * LAM])),
+        "element 1 has a segment shorter than its radius",
+    ),
+    "feed-out-of-range": (lambda: _two_rods(feed_element=2), "feed element 2 out of range 0..1"),
+    "feed-negative": (lambda: _two_rods(feed_element=-1), "feed element -1 out of range 0..1"),
+    "short-column": (
+        lambda: _two_rods(y=np.zeros(1)),
+        "rod table columns differ in length: x 2, y 1, radius 2, edges 2",
+    ),
+    "no-rod": (
+        lambda: _two_rods(x=np.zeros(0), y=np.zeros(0), radius=np.zeros(0), edges=()),
+        "grid has no elements",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GRID_VIOLATIONS)
+def test_grid_violation_raises_geometry_error(case):
+    """Every validate() violation stops solve_grid with a GeometryError that names it."""
+    make, message = GRID_VIOLATIONS[case]
+    grid = make()
+    assert grid.validate() == [message]
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         solve_grid(grid, F0)
 
 
@@ -421,9 +486,7 @@ def test_built_elements_are_exactly_antisymmetric(rule, diameter_m, segs):
     compare equal, so the fill integrates them once.
     """
     grid = segment(build_design(rule, F0, diameter_m), segs)
-    for e in np.unique(grid.element):
-        idx = np.flatnonzero(grid.element == e)
-        edges = np.append(grid.start[idx, 2], grid.end[idx[-1], 2])
+    for edges in grid.edges:
         assert np.array_equal(edges, -edges[::-1])
     basis = mode_basis(grid)
     assert basis.z_peak[basis.feed_mode] == 0.0
@@ -432,11 +495,9 @@ def test_built_elements_are_exactly_antisymmetric(rule, diameter_m, segs):
 def test_element_shifted_along_its_axis_matches_dense_oracle():
     """An off-centre element finds fewer repeated offsets but fills the same matrix."""
     base = segment(build_design("nbs", F0, 0.005), 11)
-    start, end = base.start.copy(), base.end.copy()
-    moved = base.element == 3
-    start[moved, 2] += 0.03 * LAM
-    end[moved, 2] += 0.03 * LAM
-    grid = WireGrid(start, end, base.radius, base.element, base.feed_segment)
+    edges = list(base.edges)
+    edges[3] = edges[3] + 0.03 * LAM
+    grid = replace(base, edges=tuple(edges))
     assert _oracle_defect(grid, F0) <= 1e-12
 
 
@@ -548,15 +609,12 @@ def test_nearly_uniform_element_is_not_taken_as_toeplitz():
     segs = 9
     rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]
     base = _build_grid(rows, segs, 0)
-    start, end = base.start.copy(), base.end.copy()
     seg_len = 0.45 * LAM / segs
-    for j in range(1, segs):
-        shift = (-1) ** j * 1e-10 * seg_len
-        end[segs + j - 1, 2] += shift
-        start[segs + j, 2] += shift
-    grid = WireGrid(start, end, base.radius, base.element, base.feed_segment)
+    shifted = base.edges[1].copy()
+    shifted[1:-1] += (-1) ** np.arange(1, segs) * 1e-10 * seg_len
+    grid = replace(base, edges=(base.edges[0], shifted))
     assert grid.validate() == []
-    assert not np.allclose(grid.lengths[segs:], seg_len, rtol=1e-12, atol=0)
+    assert not np.allclose(np.diff(grid.edges[1]), seg_len, rtol=1e-12, atol=0)
     assert _oracle_defect(grid, F0) <= 1e-12
 
 
@@ -604,10 +662,7 @@ def test_single_segment_element_carries_no_mode():
     """An element of one unsplit segment has no junction; fill and far field skip it."""
     rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]
     base = _build_grid(rows, 9, 0)
-    keep = np.r_[0:9, 13]  # the driven wire and one segment of the second
-    start, end = base.start[keep], base.end[keep]
-    start[-1, 2], end[-1, 2] = -0.05 * LAM, 0.05 * LAM
-    grid = WireGrid(start, end, base.radius[keep], base.element[keep], base.feed_segment)
+    grid = replace(base, edges=(base.edges[0], np.array([-0.05 * LAM, 0.05 * LAM])))  # the second is one segment
     basis = mode_basis(grid)
     assert basis.groups == ((0, 9),)
     assert np.array_equal(np.unique(basis.element), [0])
