@@ -24,6 +24,9 @@ from .errors import DomainError, ParseError, YagilabError
 from .geometry import atomic_write_text, read_text
 
 
+_MAX_SWEEP_POINTS = 100_000  # over an hour of solves at about 40 ms a point at 21 segments
+
+
 class _UsageError(Exception):
     """Flag combination errors discovered after argparse."""
 
@@ -58,8 +61,10 @@ def parse_sweep_mhz(text: str) -> list[float]:
         raise ParseError(f"sweep bounds must be finite, got {text!r}")
     if step <= 0 or stop < start or start <= 0:
         raise ParseError(f"sweep needs 0 < start <= stop and step > 0, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [(start + i * step) * 1e6 for i in range(count)]
+    steps = (stop - start) / step + 1e-9  # positive, and infinite when the count overflows
+    if not steps < _MAX_SWEEP_POINTS:
+        raise ParseError(f"sweep has more than {_MAX_SWEEP_POINTS} points, got {text!r}")
+    return [(start + i * step) * 1e6 for i in range(int(steps) + 1)]
 
 
 # -- deterministic JSON emission -------------------------------------------

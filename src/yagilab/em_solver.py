@@ -5,7 +5,9 @@ overlapping piecewise-sinusoidal dipole modes on segment junctions and tested
 with the same functions (Galerkin), so the moment matrix is complex-symmetric
 by construction. The driven element's feed segment is split internally at its
 center so the delta-gap excitation lands on a junction and the feed unknown is
-the gap current itself.
+the gap current itself. A WireGrid and the ModeBasis built from it are both
+rod tables, one row per rod; the fill, the solve and the far field read the
+basis's rods and their split segment ends.
 
 Same-wire interactions use the azimuthally averaged surface kernel, which
 stays accurate when segments are about as short as the wire is thick; wire to
@@ -29,13 +31,15 @@ entry pair, so the returned matrix is exactly symmetric.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DiscretizationError, DomainError, GeometryError, SolverError
-from .geometry import SPEED_OF_LIGHT, ElementRole, YagiDesign
+from .geometry import SPEED_OF_LIGHT, ElementRole, YagiDesign, check_frequency
 from .special import sici
 
 MU_0 = 4.0e-7 * math.pi
@@ -54,13 +58,10 @@ _POWER_PHI_SAMPLES = 128
 # finest pattern grid, 0.05 degrees; a 3-segment simulate at it peaks at about 1.1 GiB
 _MAX_PHI_STEPS = 7200
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +93,14 @@ class WireGrid:
                 f"rod table columns differ in length: x {len(self.x)}, y {len(self.y)},"
                 f" radius {len(self.radius)}, edges {n}"
             ]
+        if not isinstance(self.feed_element, (int, np.integer)):
+            return [f"feed element {self.feed_element!r} is not an integer index"]
         if not 0 <= self.feed_element < n:
             return [f"feed element {self.feed_element} out of range 0..{n - 1}"]
         v: list[str] = []
-        for e, (z, radius) in enumerate(zip(self.edges, self.radius)):
+        for e, (x, y, z, radius) in enumerate(zip(self.x, self.y, self.edges, self.radius)):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                v.append(f"element {e} has a non-finite position ({float(x)!r}, {float(y)!r})")
             if not (math.isfinite(radius) and radius > 0):
                 v.append(f"element {e} has a non-positive or non-finite radius {float(radius)!r}")
             lengths = np.diff(z) if z.ndim == 1 and np.all(np.isfinite(z)) else np.zeros(0)
@@ -115,35 +120,33 @@ class WireGrid:
 
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """Sinusoidal dipole modes derived from a grid.
+    """Sinusoidal dipole modes derived from a grid: one row per rod that carries modes.
 
-    One mode per internal junction of each element; the driven element's feed
-    segment is split at its center, which adds a junction exactly at the gap.
-    Each mode peaks at z_peak and falls sinusoidally to zero over w_lo below
-    and w_hi above the peak.
-
-    The split segments (the grid's, with the feed segment cut in two) are
-    numbered element by element; mode n rises over segment below[n] and
-    falls over segment below[n] + 1.
+    edges[r] holds rod r's segment ends, the grid's with the feed segment
+    split at the gap. One mode sits on each internal junction: the modes of
+    rod r are numbered from groups[r][0] upward, and the mode on edges[r][i + 1]
+    rises over split segment i of the rod and falls over segment i + 1.
+    Rod r is grid element element[r]; a grid element of one unsplit segment
+    has no junction and no row.
     """
 
-    x: np.ndarray  # (m,) wire x per mode
-    y: np.ndarray  # (m,) wire y per mode
-    z_peak: np.ndarray  # (m,) junction height
-    w_lo: np.ndarray  # (m,) lower half-tent width
-    w_hi: np.ndarray  # (m,) upper half-tent width
-    radius: np.ndarray  # (m,) wire radius per mode
-    element: np.ndarray  # (m,) owning element index
+    x: np.ndarray  # (r,) rod x, meters
+    y: np.ndarray  # (r,) rod y
+    radius: np.ndarray  # (r,) rod radius
+    element: np.ndarray  # (r,) grid element index of each rod
+    edges: tuple[np.ndarray, ...]  # per rod, the z of its split segment ends
     feed_mode: int  # mode sitting on the feed gap
     feed_length_m: float  # length of the (unsplit) feed segment
-    groups: tuple[tuple[int, int], ...]  # mode range [a, b) of each element
-    seg_lo: np.ndarray  # (s,) lower end of each split segment
-    seg_hi: np.ndarray  # (s,) upper end of each split segment
-    below: np.ndarray  # (m,) split segment each mode rises over
+
+    @property
+    def groups(self) -> tuple[tuple[int, int], ...]:
+        """Mode range [a, b) of each rod."""
+        ends = list(accumulate(z.size - 2 for z in self.edges))
+        return tuple(zip([0, *ends[:-1]], ends))
 
     @property
     def n_modes(self) -> int:
-        return int(self.x.size)
+        return sum(z.size - 2 for z in self.edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,14 +230,6 @@ class SweepPoint:
     error: str | None
 
 
-def _check_frequency(frequency_hz: float) -> float:
-    if not (isinstance(frequency_hz, (int, float)) and math.isfinite(frequency_hz)):
-        raise DomainError(f"frequency must be finite, got {frequency_hz!r}")
-    if frequency_hz <= 0:
-        raise DomainError(f"frequency must be positive, got {frequency_hz}")
-    return float(frequency_hz)
-
-
 def _check_segment_count(segs_per_element: int) -> int:
     if not isinstance(segs_per_element, (int, np.integer)):
         raise DomainError(f"segment count must be an integer, got {segs_per_element!r}")
@@ -298,12 +293,12 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
 
     Raises GeometryError for a grid that fails validate() and for coincident
     or overlapping elements. An element of a single unsplit segment has no
-    junction, carries no mode and is left out of the element tables.
+    junction, carries no mode and has no row in the basis.
     """
     violations = grid.validate()
     if violations:
         raise GeometryError("; ".join(violations))
-    rods, groups, edges = [], [], []  # per element with modes: its rod, mode range, split edges
+    rods, edges = [], []  # each element with modes and its split edges
     m = 0
     for e, z in enumerate(grid.edges):
         if e == grid.feed_element:
@@ -313,39 +308,30 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
             z = np.insert(z, within + 1, 0.5 * (z[within] + z[within + 1]))
         if z.size > 2:
             rods.append(e)
-            groups.append((m, m + z.size - 2))
             edges.append(z)
             m += z.size - 2
-    widths = [np.diff(z) for z in edges]
-    element = np.repeat(rods, [b - a for a, b in groups])
+    element = np.array(rods)
     basis = ModeBasis(
         x=grid.x[element],
         y=grid.y[element],
-        z_peak=np.concatenate([z[1:-1] for z in edges]),
-        w_lo=np.concatenate([w[:-1] for w in widths]),
-        w_hi=np.concatenate([w[1:] for w in widths]),
         radius=grid.radius[element],
         element=element,
+        edges=tuple(edges),
         feed_mode=feed_mode,
         feed_length_m=feed_length,
-        groups=tuple(groups),
-        seg_lo=np.concatenate([z[:-1] for z in edges]),
-        seg_hi=np.concatenate([z[1:] for z in edges]),
-        below=np.concatenate([np.arange(a, b) + i for i, (a, b) in enumerate(groups)]),
     )
     _check_wire_spacing(basis)
     return basis
 
 
-def _sin_widths(k: float, basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
-    """sin(k*w) per half-tent, guarding against half-wave-long segments."""
-    kw = k * np.maximum(basis.w_lo, basis.w_hi)
-    if np.max(kw) >= 0.95 * math.pi:
+def _sin_widths(k: float, widths: np.ndarray) -> np.ndarray:
+    """sin(k*w) per segment of a rod, guarding against half-wave-long segments."""
+    if np.max(k * widths) >= 0.95 * math.pi:
         raise DiscretizationError(
             "segments approach a half wavelength; sinusoidal interpolation needs"
             " a finer grid at this frequency"
         )
-    return np.sin(k * basis.w_lo), np.sin(k * basis.w_hi)
+    return np.sin(k * widths)
 
 
 def _cis(angle: np.ndarray) -> np.ndarray:
@@ -406,10 +392,9 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     whose supports meet give the two orders values up to ~1e-11 apart. The
     result is exactly symmetric.
     """
-    f = _check_frequency(frequency_hz)
+    f = check_frequency(frequency_hz)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
     _check_array_extent(k, basis, f)
-    sin_lo, sin_hi = _sin_widths(k, basis)
     m = basis.n_modes
     z = np.empty((m, m), dtype=complex)
 
@@ -420,27 +405,18 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     ring_weights = 0.5 * ring_w  # folded (1/pi) * (pi/2) Jacobian
     axis_weight = np.ones(1)
 
-    w_lo, w_hi = basis.w_lo, basis.w_hi
-    # weights of a source mode's three wave centers, its edges z_peak - w_lo, z_peak, z_peak + w_hi
-    coefs = np.stack(
-        [1.0 / sin_lo, -(np.cos(k * w_lo) / sin_lo + np.cos(k * w_hi) / sin_hi), 1.0 / sin_hi], axis=1
-    )
-    seg_lo, seg_hi, below = basis.seg_lo, basis.seg_hi, basis.below
-    owns = [slice(below[a], below[a] + b - a + 1) for a, b in basis.groups]  # each element's segments
-    edges = [np.append(seg_lo[own], seg_hi[own.stop - 1]) for own in owns]
-
-    def block(rise: np.ndarray, fall: np.ndarray, src: slice, obs: slice, first_seg: int) -> np.ndarray:
-        """Entries [source n, observation i] from the integrals of n's edges."""
-        seg = below[obs] - first_seg
-        h = rise[:, seg] / sin_lo[obs] + fall[:, seg + 1] / sin_hi[obs]
-        c = coefs[src]
-        return c[:, 0:1] * h[:-2] + c[:, 1:2] * h[1:-1] + c[:, 2:3] * h[2:]
-
-    pairs, args = [], []
+    edges = basis.edges
+    pairs, args, sines, coefs = [], [], [], []
     for p, e in enumerate(edges):
+        w = np.diff(e)
+        sin_w = _sin_widths(k, w)
+        sin_lo, sin_hi = sin_w[:-1], sin_w[1:]
+        sines.append(sin_w)
+        # weights of each source mode's three wave centers: its lower edge, its peak, its upper edge
+        mid = -(np.cos(k * w[:-1]) / sin_lo + np.cos(k * w[1:]) / sin_hi)
+        coefs.append((1.0 / sin_lo[:, None], mid[:, None], 1.0 / sin_hi[:, None]))
         span = e[-1] - e[0]
-        step = span / np.rint(span / np.min(np.diff(e)))
-        a = basis.groups[p][0]
+        step = span / np.rint(span / np.min(w))
         for q in range(p, len(edges)):
             # q's edges as offsets from p's edges, snapped to exact multiples
             # of p's lattice step when all lie on it to roundoff
@@ -448,11 +424,10 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
             snapped = np.rint(offsets / step) * step
             if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
                 offsets = snapped
-            c = basis.groups[q][0]
             if q == p:
-                rho, rho_weights = 2.0 * basis.radius[a] * np.sin(ring_phi / 2.0), ring_weights
+                rho, rho_weights = 2.0 * basis.radius[p] * np.sin(ring_phi / 2.0), ring_weights
             else:
-                rho, rho_weights = np.hypot(basis.x[c] - basis.x[a], basis.y[c] - basis.y[a])[None], axis_weight
+                rho, rho_weights = np.hypot(basis.x[q] - basis.x[p], basis.y[q] - basis.y[p])[None], axis_weight
             pair_args, at = _kernel_arguments(k, offsets, rho)
             args.append(pair_args)
             pairs.append((p, q, offsets, at, rho_weights))
@@ -465,6 +440,7 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
         )
     si, ci = sici(x)
     table = np.split(ci - 1j * si, np.cumsum([pair_args.size for pair_args in args[:-1]]))
+    groups = basis.groups
     for (p, q, offsets, at, rho_weights), values in zip(pairs, table):
         w_table = values.reshape(-1, rho_weights.size) @ rho_weights
         w_pos, w_neg = w_table[at]  # W(u), W(-u)
@@ -473,8 +449,12 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
         phase = _cis(-k * offsets)  # e^{-jku}
         rise = phase[:, :-1] * down - phase[:, :-1].conj() * up
         fall = phase[:, 1:].conj() * up - phase[:, 1:] * down
-        (a, b), (c, d) = basis.groups[p], basis.groups[q]
-        pair_block = block(rise, fall, slice(a, b), slice(c, d), owns[q].start)
+        # each observation mode of q rises over one segment and falls over
+        # the next; each source mode of p weights three consecutive edges
+        h = rise[:, :-1] / sines[q][:-1] + fall[:, 1:] / sines[q][1:]
+        c_lo, c_mid, c_hi = coefs[p]
+        pair_block = c_lo * h[:-2] + c_mid * h[1:-1] + c_hi * h[2:]
+        (a, b), (c, d) = groups[p], groups[q]
         if q == p:
             z[a:b, a:b] = 0.5 * (pair_block + pair_block.T)
         else:
@@ -490,8 +470,7 @@ def _check_wire_spacing(basis: ModeBasis) -> None:
 
     Pairs are taken in (lower, higher) index order.
     """
-    first = [a for a, _ in basis.groups]
-    elements, x, y, radius = basis.element[first], basis.x[first], basis.y[first], basis.radius[first]
+    elements, x, y, radius = basis.element, basis.x, basis.y, basis.radius
     p, q = np.triu_indices(elements.size, k=1)
     with np.errstate(over="ignore"):  # too far apart is not too close; the fill checks it
         d = np.hypot(x[p] - x[q], y[p] - y[q])
@@ -512,12 +491,11 @@ def _check_array_extent(k: float, basis: ModeBasis, frequency_hz: float) -> None
     phases are taken from. An array that overflows them would fill the
     matrix with NaN.
     """
-    first = [a for a, _ in basis.groups]
-    x, y = np.append(basis.x[first], 0.0), np.append(basis.y[first], 0.0)
+    x, y = np.append(basis.x, 0.0), np.append(basis.y, 0.0)
     p, q = np.triu_indices(x.size, k=1)
     with np.errstate(over="ignore"):
         extent = float(np.max(np.hypot(x[p] - x[q], y[p] - y[q])))
-        far = first[int(np.argmax(np.hypot(x[:-1], y[:-1])))]
+        far = int(np.argmax(np.hypot(basis.x, basis.y)))
     if not math.isfinite(k * extent):
         raise GeometryError(
             f"array extent {extent:.4g} m is too large for a finite phase at {frequency_hz / 1e6:g} MHz"
@@ -534,7 +512,7 @@ def solve_currents(matrix: np.ndarray, basis: ModeBasis, frequency_hz: float) ->
     first step of Hager's estimator). SolverError is raised when it exceeds
     1e12, and with an estimate of inf when LU meets an exactly zero pivot.
     """
-    f = _check_frequency(frequency_hz)
+    f = check_frequency(frequency_hz)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"moment matrix must be square, got shape {matrix.shape}")
@@ -594,9 +572,9 @@ def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
 def _axial_transforms(
     k: float, basis: ModeBasis, amplitudes: np.ndarray, cos_theta: np.ndarray
 ) -> np.ndarray:
-    """Radiation integrals of the current on each element, shape (theta, element).
+    """Radiation integrals of the current on each rod, shape (theta, rod).
 
-    Each entry is integral of I(z) e^{jk cos(theta) z} dz over the element,
+    Each entry is integral of I(z) e^{jk cos(theta) z} dz over the rod,
     evaluated with Gauss-Legendre per split segment on the summed current:
     the rising half of the mode that peaks at the segment's upper edge plus
     the falling half of the mode that peaks at its lower edge.
@@ -608,14 +586,21 @@ def _axial_transforms(
     in one matrix product; the (theta, segment) center phase follows.
     """
     nodes, weights = _gauss(_PATTERN_QUAD_ORDER)
-    lo, hi, rise = basis.seg_lo, basis.seg_hi, basis.below
+    # the split segments of all rods, rod by rod; mode n rises over segment
+    # rise[n], which is each segment but a rod's last, and falls over rise[n] + 1
+    lo = np.concatenate([e[:-1] for e in basis.edges])
+    hi = np.concatenate([e[1:] for e in basis.edges])
+    count = np.array([e.size - 1 for e in basis.edges])
+    first = np.cumsum(count) - count
+    rise = np.delete(np.arange(lo.size), first + count - 1)
     fall = rise + 1
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     z = center[:, None] + half[:, None] * nodes  # (s, q)
     amps = amplitudes[:, None]
+    sin_w = np.sin(k * (hi - lo))
     current = np.zeros(z.shape, dtype=complex)
-    current[rise] += amps * np.sin(k * (z[rise] - lo[rise, None])) / np.sin(k * basis.w_lo)[:, None]
-    current[fall] += amps * np.sin(k * (hi[fall, None] - z[fall])) / np.sin(k * basis.w_hi)[:, None]
+    current[rise] += amps * np.sin(k * (z[rise] - lo[rise, None])) / sin_w[rise, None]
+    current[fall] += amps * np.sin(k * (hi[fall, None] - z[fall])) / sin_w[fall, None]
     weighted = current * weights * half[:, None]
     widths, width_of = np.unique(half, return_inverse=True)
     per_segment = np.empty((cos_theta.size, half.size), dtype=complex)
@@ -623,7 +608,7 @@ def _axial_transforms(
         segs = np.flatnonzero(width_of == g)
         per_segment[:, segs] = _cis(k * np.outer(cos_theta, h * nodes)) @ weighted[segs].T
     per_segment *= _cis(k * np.outer(cos_theta, center))
-    return np.add.reduceat(per_segment, rise[[a for a, _ in basis.groups]], axis=1)
+    return np.add.reduceat(per_segment, first, axis=1)
 
 
 def _pattern_power(
@@ -653,8 +638,7 @@ def _pattern_power(
     cols = j if np.any(basis.y) else np.minimum(j, (-start - j) % n_p)
     sin_theta = np.sqrt(np.clip(1.0 - cos_theta[: rows.max() + 1] ** 2, 0.0, 1.0))
     phi = phi[: cols.max() + 1]
-    heads = [a for a, _ in basis.groups]
-    offsets = basis.x[heads, None] * np.cos(phi) + basis.y[heads, None] * np.sin(phi)  # (w, p)
+    offsets = basis.x[:, None] * np.cos(phi) + basis.y[:, None] * np.sin(phi)  # (w, p)
     radial = _cis(k * (sin_theta[:, None, None] * offsets))  # (t/2, w, p)
     pairs = np.stack([t, t[::-1]], axis=1)[: sin_theta.size]  # rows i and n_t - 1 - i share radial[i]
     af = np.empty((n_t, phi.size), dtype=complex)

@@ -25,13 +25,18 @@ SPEED_OF_LIGHT = 2.998e8
 BASE_FREQUENCY_HZ = 900e6
 
 
-def wavelength(frequency_hz: float) -> float:
-    """Free-space wavelength in meters for a frequency in Hz."""
+def check_frequency(frequency_hz: float) -> float:
+    """A frequency in Hz as a float; raises DomainError unless it is a positive finite number."""
     if not (isinstance(frequency_hz, (int, float)) and math.isfinite(frequency_hz)):
         raise DomainError(f"frequency must be finite, got {frequency_hz!r}")
     if frequency_hz <= 0:
         raise DomainError(f"frequency must be positive, got {frequency_hz}")
-    return SPEED_OF_LIGHT / frequency_hz
+    return float(frequency_hz)
+
+
+def wavelength(frequency_hz: float) -> float:
+    """Free-space wavelength in meters for a frequency in Hz."""
+    return SPEED_OF_LIGHT / check_frequency(frequency_hz)
 
 
 class DesignRule(str, Enum):

@@ -5,27 +5,28 @@ axis-distance kernel, same-wire entries with the ring-averaged kernel, then
 the matrix is averaged with its transpose. The three functions below are the
 package's fill as it was before the structured fill replaced it, copied
 without edits to the algorithm (its input guard checks the rod count, since
-a grid of z-directed rods cannot hold a wire that is not parallel to z);
-tests compare em_solver.impedance_matrix against it. It shares only the mode
-table, checks and constants with the package.
+a grid of z-directed rods cannot hold a wire that is not parallel to z, and
+it reads the per-mode columns that mode_columns.per_mode expands from the
+rod table); tests compare em_solver.impedance_matrix against it. It shares
+only the mode basis, checks and constants with the package.
 """
 
 import math
 
 import numpy as np
 
+from mode_columns import per_mode
 from yagilab.em_solver import (
     _RING_QUAD_ORDER,
     ETA_0,
     WireGrid,
-    _check_frequency,
     _check_wire_spacing,
     _gauss,
     _sin_widths,
     mode_basis,
 )
 from yagilab.errors import DomainError
-from yagilab.geometry import SPEED_OF_LIGHT
+from yagilab.geometry import SPEED_OF_LIGHT, check_frequency
 
 _AXIAL_QUAD_ORDER = 32
 
@@ -94,15 +95,18 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float, symmetrize: bool = Tru
     symmetric up to quadrature roundoff; symmetrize=False skips the final
     (Z + Z^T)/2 cleanup so that roundoff can be inspected.
     """
-    f = _check_frequency(frequency_hz)
+    f = check_frequency(frequency_hz)
     if len(grid.edges) == 0:
         raise DomainError("grid has no elements")
-    basis = mode_basis(grid)
-    _check_wire_spacing(basis)
+    rods = mode_basis(grid)
+    _check_wire_spacing(rods)
+    basis = per_mode(rods)
 
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
-    sin_lo, sin_hi = _sin_widths(k, basis)
-    m = basis.n_modes
+    sines = [_sin_widths(k, np.diff(z)) for z in rods.edges]
+    sin_lo = np.concatenate([s[:-1] for s in sines])
+    sin_hi = np.concatenate([s[1:] for s in sines])
+    m = rods.n_modes
     z = np.empty((m, m), dtype=complex)
 
     # ring quadrature for the azimuthally averaged same-wire kernel:
@@ -148,7 +152,7 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float, symmetrize: bool = Tru
                 ring_weights,
             )
         z[:, n] = col
-    z *= 1j * ETA_0 / (4.0 * math.pi * basis.feed_length_m)
+    z *= 1j * ETA_0 / (4.0 * math.pi * rods.feed_length_m)
     if not symmetrize:
         return z
     return (z + z.T) / 2.0

@@ -3,15 +3,18 @@
 Each mode's radiation integral is taken over its two half-tents separately
 and the modes are merged per wire through a dict keyed by (x, y). The three
 functions below are the package's far field as it was before the
-per-segment form replaced it, copied without edits; tests compare
-em_solver.far_field against it. It shares only the mode table, result types
-and constants with the package.
+per-segment form replaced it, copied without edits but for reading the
+per-mode columns that mode_columns.per_mode expands from the rod table;
+tests compare em_solver.far_field against it. It shares only the mode
+basis, result types and constants with the package.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from mode_columns import per_mode
 from yagilab.em_solver import (
     _PATTERN_QUAD_ORDER,
     _POWER_PHI_SAMPLES,
@@ -20,7 +23,6 @@ from yagilab.em_solver import (
     GAIN_FLOOR_DBI,
     CurrentSolution,
     FarField,
-    ModeBasis,
     WireGrid,
     _gauss,
 )
@@ -29,7 +31,7 @@ from yagilab.geometry import SPEED_OF_LIGHT
 
 
 def _axial_transforms(
-    k: float, basis: ModeBasis, amplitudes: np.ndarray, cos_theta: np.ndarray
+    k: float, basis: SimpleNamespace, amplitudes: np.ndarray, cos_theta: np.ndarray
 ) -> dict[tuple[float, float], np.ndarray]:
     """Per-wire radiation integrals of the expansion, keyed by wire (x, y).
 
@@ -99,7 +101,7 @@ def far_field(solution: CurrentSolution, grid: WireGrid, resolution_deg: float =
     n_theta = n_phi // 2 + 1
 
     k = 2.0 * math.pi * solution.frequency_hz / SPEED_OF_LIGHT
-    basis = solution.basis
+    basis = per_mode(solution.basis)
 
     theta = np.linspace(0.0, 180.0, n_theta)
     phi = np.arange(n_phi) * resolution_deg

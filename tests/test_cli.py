@@ -58,7 +58,10 @@ def test_sweep_spec_degenerate_and_truncated():
     assert freqs[-1] == pytest.approx(955e6)
 
 
-@pytest.mark.parametrize("text", ["850:960", "960:850:5", "850:abc:5", "850:960:0", "0:960:5"])
+@pytest.mark.parametrize(
+    "text",
+    ["850:960", "960:850:5", "850:abc:5", "850:960:0", "0:960:5", "1:100001:1", "1:1e300:1e-300", "1:1e15:1"],
+)
 def test_bad_sweep_specs(text):
     with pytest.raises(ParseError):
         cli.parse_sweep_mhz(text)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import dense_fill
 import far_field_halves
+from mode_columns import per_mode
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
 from yagilab import em_solver
 from yagilab.em_solver import (
@@ -302,6 +303,15 @@ GRID_VIOLATIONS = {
     ),
     "feed-out-of-range": (lambda: _two_rods(feed_element=2), "feed element 2 out of range 0..1"),
     "feed-negative": (lambda: _two_rods(feed_element=-1), "feed element -1 out of range 0..1"),
+    "feed-not-integer": (lambda: _two_rods(feed_element=0.5), "feed element 0.5 is not an integer index"),
+    "nan-position": (
+        lambda: _two_rods(x=np.array([0.0, math.nan])),
+        "element 1 has a non-finite position (nan, 0.0)",
+    ),
+    "infinite-position": (
+        lambda: _two_rods(x=np.array([0.0, math.inf])),
+        "element 1 has a non-finite position (inf, 0.0)",
+    ),
     "short-column": (
         lambda: _two_rods(y=np.zeros(1)),
         "rod table columns differ in length: x 2, y 1, radius 2, edges 2",
@@ -489,7 +499,7 @@ def test_built_elements_are_exactly_antisymmetric(rule, diameter_m, segs):
     for edges in grid.edges:
         assert np.array_equal(edges, -edges[::-1])
     basis = mode_basis(grid)
-    assert basis.z_peak[basis.feed_mode] == 0.0
+    assert per_mode(basis).z_peak[basis.feed_mode] == 0.0
 
 
 def test_element_shifted_along_its_axis_matches_dense_oracle():
@@ -583,18 +593,18 @@ def test_fill_makes_one_sici_call(monkeypatch, segs):
     assert sizes[0] <= same_wire + wire_to_wire
 
 
-def test_mode_basis_segment_table():
-    """Each mode rises over segment below[n] and falls over the next, which meet at its peak."""
+def test_mode_basis_rod_table():
+    """The basis keeps the grid's rods and ends, with the feed segment split at exactly 0.0."""
     grid = segment(build_design("nbs", F0, 0.005), 11)
     basis = mode_basis(grid)
-    rise, fall = basis.below, basis.below + 1
-    assert basis.seg_lo.size == grid.n_segments + 1  # the feed segment is split
-    assert np.array_equal(basis.seg_hi[rise], basis.z_peak)
-    assert np.array_equal(basis.seg_lo[fall], basis.z_peak)
-    assert np.array_equal(basis.seg_hi[rise] - basis.seg_lo[rise], basis.w_lo)
-    assert np.array_equal(basis.seg_hi[fall] - basis.seg_lo[fall], basis.w_hi)
-    assert [set(basis.element[a:b]) for a, b in basis.groups] == [{e} for e in range(6)]
+    assert np.array_equal(basis.element, np.arange(6))
+    for e, (split, edges) in enumerate(zip(basis.edges, grid.edges)):
+        if e == grid.feed_element:
+            assert np.array_equal(split, np.insert(edges, 6, 0.0))  # the middle of 11 segments is the sixth
+        else:
+            assert np.array_equal(split, edges)
     assert [b - a for a, b in basis.groups] == [10, 11, 10, 10, 10, 10]
+    assert sum(z.size - 1 for z in basis.edges) == grid.n_segments + 1
 
 
 def test_nearly_uniform_element_is_not_taken_as_toeplitz():
@@ -665,7 +675,7 @@ def test_single_segment_element_carries_no_mode():
     grid = replace(base, edges=(base.edges[0], np.array([-0.05 * LAM, 0.05 * LAM])))  # the second is one segment
     basis = mode_basis(grid)
     assert basis.groups == ((0, 9),)
-    assert np.array_equal(np.unique(basis.element), [0])
+    assert np.array_equal(basis.element, [0])
     assert _oracle_defect(grid, F0) <= 1e-12
     sol = solve_grid(grid, F0)
     got = far_field(sol, resolution_deg=5.0)
