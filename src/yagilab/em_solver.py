@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -49,7 +50,6 @@ DEFAULT_SEGMENTS_PER_ELEMENT = 21
 GAIN_FLOOR_DBI = -180.0
 
 _RING_QUAD_ORDER = 32
-_PATTERN_QUAD_ORDER = 12
 _CONDITION_LIMIT = 1e12  # lower bound of cond_1(Z) above which a solve is refused
 
 # power-normalization quadrature (independent of the returned sample grid)
@@ -334,6 +334,20 @@ def _sin_widths(k: float, widths: np.ndarray) -> np.ndarray:
     return np.sin(k * widths)
 
 
+def _wave_center_weights(k: float, edges: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """sin(k w) per segment of a rod, and per mode of the rod its three wave-center weights.
+
+    The weights of a mode's lower edge, peak and upper edge are 1/sin(k w_lo),
+    -(cot(k w_lo) + cot(k w_hi)) and 1/sin(k w_hi), w_lo and w_hi its segment
+    widths: the finite-dipole field of Balanis, Antenna Theory, ch. 4.
+    """
+    w = np.diff(edges)
+    sin_w = _sin_widths(k, w)
+    sin_lo, sin_hi = sin_w[:-1], sin_w[1:]
+    mid = -(np.cos(k * w[:-1]) / sin_lo + np.cos(k * w[1:]) / sin_hi)
+    return sin_w, (1.0 / sin_lo, mid, 1.0 / sin_hi)
+
+
 def _cis(angle: np.ndarray) -> np.ndarray:
     """e^{j angle} of a real array, from its cosine and sine.
 
@@ -408,15 +422,11 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     edges = basis.edges
     pairs, args, sines, coefs = [], [], [], []
     for p, e in enumerate(edges):
-        w = np.diff(e)
-        sin_w = _sin_widths(k, w)
-        sin_lo, sin_hi = sin_w[:-1], sin_w[1:]
+        sin_w, weights = _wave_center_weights(k, e)
         sines.append(sin_w)
-        # weights of each source mode's three wave centers: its lower edge, its peak, its upper edge
-        mid = -(np.cos(k * w[:-1]) / sin_lo + np.cos(k * w[1:]) / sin_hi)
-        coefs.append((1.0 / sin_lo[:, None], mid[:, None], 1.0 / sin_hi[:, None]))
+        coefs.append(tuple(c[:, None] for c in weights))
         span = e[-1] - e[0]
-        step = span / np.rint(span / np.min(w))
+        step = span / np.rint(span / np.min(np.diff(e)))
         for q in range(p, len(edges)):
             # q's edges as offsets from p's edges, snapped to exact multiples
             # of p's lattice step when all lie on it to roundoff
@@ -572,43 +582,30 @@ def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
 def _axial_transforms(
     k: float, basis: ModeBasis, amplitudes: np.ndarray, cos_theta: np.ndarray
 ) -> np.ndarray:
-    """Radiation integrals of the current on each rod, shape (theta, rod).
+    """Radiation integrals of the current on each rod, shape (theta, rod), in closed form.
 
-    Each entry is integral of I(z) e^{jk cos(theta) z} dz over the rod,
-    evaluated with Gauss-Legendre per split segment on the summed current:
-    the rising half of the mode that peaks at the segment's upper edge plus
-    the falling half of the mode that peaks at its lower edge.
-
-    The phase is separable: node q of segment s sits at c_s + h_s x_q, so
-    e^{jk cos(theta) z} = e^{jk cos(theta) c_s} e^{jk cos(theta) h_s x_q}.
-    Segments of exactly equal half-width h share the (theta, node) factor,
-    which is evaluated once per width and applied to their weighted currents
-    in one matrix product; the (theta, segment) center phase follows.
+    Each entry is integral of I(z) e^{j alpha z} dz over the rod, alpha = k cos(theta).
+    With W_j the sum of amplitude * wave-center weight over the modes that use edge j,
+        integral = sum_j W_j e^{j alpha z_j} / (k sin^2 theta), and 0 where sin(theta) = 0.
+    A mode radiates nothing along the axis, so sum_j W_j e^{j s k z_j} = 0 for s = +-1.
+    Each row subtracts it for the nearer pole s = sign(cos theta); with d = 1 - |cos theta|,
+    exact for |cos theta| >= 1/2, nothing then cancels as sin(theta) -> 0:
+        e^{j alpha z} - e^{j s k z} = -2j s sin(k d z / 2) e^{jk (cos theta + s) z / 2},
+        k sin^2 theta = k d (1 + |cos theta|).
     """
-    nodes, weights = _gauss(_PATTERN_QUAD_ORDER)
-    # the split segments of all rods, rod by rod; mode n rises over segment
-    # rise[n], which is each segment but a rod's last, and falls over rise[n] + 1
-    lo = np.concatenate([e[:-1] for e in basis.edges])
-    hi = np.concatenate([e[1:] for e in basis.edges])
-    count = np.array([e.size - 1 for e in basis.edges])
-    first = np.cumsum(count) - count
-    rise = np.delete(np.arange(lo.size), first + count - 1)
-    fall = rise + 1
-    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    z = center[:, None] + half[:, None] * nodes  # (s, q)
-    amps = amplitudes[:, None]
-    sin_w = np.sin(k * (hi - lo))
-    current = np.zeros(z.shape, dtype=complex)
-    current[rise] += amps * np.sin(k * (z[rise] - lo[rise, None])) / sin_w[rise, None]
-    current[fall] += amps * np.sin(k * (hi[fall, None] - z[fall])) / sin_w[fall, None]
-    weighted = current * weights * half[:, None]
-    widths, width_of = np.unique(half, return_inverse=True)
-    per_segment = np.empty((cos_theta.size, half.size), dtype=complex)
-    for g, h in enumerate(widths):
-        segs = np.flatnonzero(width_of == g)
-        per_segment[:, segs] = _cis(k * np.outer(cos_theta, h * nodes)) @ weighted[segs].T
-    per_segment *= _cis(k * np.outer(cos_theta, center))
-    return np.add.reduceat(per_segment, first, axis=1)
+    weights = []
+    for e, (a, b) in zip(basis.edges, basis.groups):
+        _, (c_lo, c_mid, c_hi) = _wave_center_weights(k, e)
+        amps = amplitudes[a:b]  # mode i of the rod weights edges i, i + 1 and i + 2
+        weights.append(np.pad(amps * c_lo, (0, 2)) + np.pad(amps * c_mid, 1) + np.pad(amps * c_hi, (2, 0)))
+    half_kz = 0.5 * k * np.concatenate(basis.edges)
+    s = np.where(cos_theta < 0.0, -1.0, 1.0)
+    d = 1.0 - np.abs(cos_theta)
+    scale = np.zeros(d.shape)
+    np.divide(-2.0 * s, k * d * (1.0 + np.abs(cos_theta)), out=scale, where=d > 0.0)
+    sources = np.sin(np.outer(d, half_kz)) * _cis(np.outer(cos_theta + s, half_kz)) * np.concatenate(weights)
+    first = np.cumsum([0] + [e.size for e in basis.edges[:-1]])
+    return np.add.reduceat(sources, first, axis=1) * (1j * scale)[:, None]
 
 
 def _pattern_power(
@@ -647,12 +644,15 @@ def _pattern_power(
 
 
 def _check_resolution(resolution_deg: float) -> int:
-    """Number of phi steps of a pattern grid; raises DomainError for a bad step."""
-    if not (
-        isinstance(resolution_deg, (int, float)) and math.isfinite(resolution_deg) and resolution_deg > 0
-    ):
+    """Number of phi steps of a pattern grid; raises DomainError for a bad step.
+
+    The step is any real number of degrees, numpy scalars included, but not a bool.
+    """
+    if not isinstance(resolution_deg, numbers.Real) or isinstance(resolution_deg, bool):
+        raise DomainError(f"resolution must be a real number of degrees, got {resolution_deg!r}")
+    if not (math.isfinite(resolution_deg) and resolution_deg > 0):
         raise DomainError(f"resolution must be positive and finite, got {resolution_deg!r}")
-    n_phi = 360.0 / resolution_deg
+    n_phi = 360.0 / float(resolution_deg)
     if not n_phi < _MAX_PHI_STEPS + 0.5:
         raise DomainError(
             f"resolution {resolution_deg!r} deg is finer than {360.0 / _MAX_PHI_STEPS:g} deg"
@@ -671,27 +671,36 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     The gain normalization divides by radiated power computed with a
     Gauss-Legendre quadrature that is independent of the sample grid: 64
     nodes in cos(theta) times 128 midpoint samples in phi. Both grids take
-    the per-element radiation integrals (_axial_transforms) and then the
-    array factor over the wire positions (_pattern_power), which reuses
-    rows across theta = 90 degrees and, on a y = 0 array, columns across
-    phi = 0.
+    the per-rod radiation integrals (_axial_transforms), exact sums over
+    the modes' wave centers with the nearer pole's phase subtracted, and
+    then the array factor over the wire positions (_pattern_power), which
+    reuses rows across theta = 90 degrees and, on a y = 0 array, columns
+    across phi = 0.
+
+    Raises DomainError for a bad resolution and for a solution whose
+    amplitudes are not one finite value per mode of its basis or whose
+    frequency is not positive and finite.
     """
     n_phi = _check_resolution(resolution_deg)
     n_theta = n_phi // 2 + 1
 
-    k = 2.0 * math.pi * solution.frequency_hz / SPEED_OF_LIGHT
-    basis = solution.basis
+    basis, amplitudes = solution.basis, np.asarray(solution.amplitudes)
+    if amplitudes.shape != (basis.n_modes,):
+        raise DomainError(f"solution has amplitudes of shape {amplitudes.shape} for {basis.n_modes} modes")
+    if not np.all(np.isfinite(amplitudes)):
+        raise DomainError("solution has non-finite mode amplitudes")
+    k = 2.0 * math.pi * check_frequency(solution.frequency_hz) / SPEED_OF_LIGHT
 
     theta = np.linspace(0.0, 180.0, n_theta)
     phi = np.arange(n_phi) * resolution_deg
     cos_theta = np.cos(np.radians(theta))
-    axial = _axial_transforms(k, basis, solution.amplitudes, cos_theta)
+    axial = _axial_transforms(k, basis, amplitudes, cos_theta)
     power = _pattern_power(k, basis, axial, cos_theta, np.radians(phi))
 
     # radiated power from an independent spherical quadrature
     x_nodes, x_weights = _gauss(_POWER_THETA_ORDER)
     phi_q = (np.arange(_POWER_PHI_SAMPLES) + 0.5) * (2.0 * math.pi / _POWER_PHI_SAMPLES)
-    axial_q = _axial_transforms(k, basis, solution.amplitudes, x_nodes)
+    axial_q = _axial_transforms(k, basis, amplitudes, x_nodes)
     power_q = _pattern_power(k, basis, axial_q, x_nodes, phi_q)
     u_const = k**2 * ETA_0 / (32.0 * math.pi**2)
     p_rad = u_const * float(

@@ -16,7 +16,6 @@ import numpy as np
 
 from mode_columns import per_mode
 from yagilab.em_solver import (
-    _PATTERN_QUAD_ORDER,
     _POWER_PHI_SAMPLES,
     _POWER_THETA_ORDER,
     ETA_0,
@@ -28,6 +27,8 @@ from yagilab.em_solver import (
 )
 from yagilab.errors import DomainError, SolverError
 from yagilab.geometry import SPEED_OF_LIGHT
+
+_PATTERN_QUAD_ORDER = 12  # Gauss-Legendre nodes per half-tent
 
 
 def _axial_transforms(

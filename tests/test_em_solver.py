@@ -216,7 +216,11 @@ def test_resolution_too_fine_for_a_finite_step_count_is_a_domain_error(dipole51)
 
 
 def test_resolution_limit_is_7200_phi_steps():
+    """The step is any real number of degrees, numpy scalars included, but not a bool."""
     assert em_solver._check_resolution(0.05) == 7200
+    assert em_solver._check_resolution(np.int64(2)) == em_solver._check_resolution(np.float32(2.0)) == 180
+    with pytest.raises(DomainError, match="resolution must be a real number of degrees, got True"):
+        em_solver._check_resolution(True)
 
 
 @pytest.mark.parametrize("resolution_deg", [1e-300, 1e-6, 0.001])
@@ -229,6 +233,23 @@ def test_sweep_tags_every_point_with_a_resolution_past_the_limit(monkeypatch, re
     assert [p.frequency_hz for p in points] == BAND_HZ
     assert all(p.error is not None and f"resolution {resolution_deg!r} deg" in p.error for p in points)
     assert fills == []
+
+
+MALFORMED_SOLUTIONS = {
+    "one-amplitude-short": (lambda sol: replace(sol, amplitudes=sol.amplitudes[:-1]), r"shape \(10,\) for 11 modes"),
+    "one-amplitude-long": (lambda sol: replace(sol, amplitudes=np.append(sol.amplitudes, 0.0)), r"shape \(12,\) for 11 modes"),
+    "nan-amplitudes": (lambda sol: replace(sol, amplitudes=np.full(11, np.nan + 0j)), "non-finite mode amplitudes"),
+    "nan-frequency": (lambda sol: replace(sol, frequency_hz=math.nan), "frequency must be finite"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", MALFORMED_SOLUTIONS.values(), ids=MALFORMED_SOLUTIONS.keys())
+def test_far_field_rejects_a_malformed_solution(corrupt, message):
+    """A hand-built solution fails with a DomainError that names its fault."""
+    sol = solve_grid(dipole_grid(0.5 * LAM, 1e-3 * LAM, 11), F0)
+    assert sol.basis.n_modes == 11
+    with pytest.raises(DomainError, match=message):
+        far_field(corrupt(sol), resolution_deg=5.0)
 
 
 def test_sweep_rejects_empty_frequency_list():
@@ -644,6 +665,39 @@ def test_far_field_sphere_integral_property(length_frac, radius_frac, segs, reso
     sol = solve_grid(grid, f_hz)
     ff = far_field(sol, resolution_deg=resolution_deg)
     assert abs(ff.sphere_integral_linear_gain() / (4.0 * math.pi) - 1.0) < 0.02
+
+
+POWER_BALANCE_CASES = {
+    "dipole-1e-3": (None, 1e-3 * LAM, F0),
+    "dipole-1e-4": (None, 1e-4 * LAM, F0),
+    **{f"nbs-{f / 1e6:g}": ("nbs", 0.0025, f) for f in BAND_HZ},
+}
+
+
+@pytest.mark.parametrize("rule, radius, f_hz", POWER_BALANCE_CASES.values(), ids=POWER_BALANCE_CASES.keys())
+def test_radiated_power_balances_input_power_to_order_ka_squared(rule, radius, f_hz):
+    """P_rad / P_in is 1 up to the thin-wire model's (ka)^2 term.
+
+    The fill uses the ring-averaged surface kernel but the far field the axis
+    current, so the two powers differ by about c (ka)^2, c = 0.41 for the
+    half-wave dipole at both radii and 1.0-4.8 for the nbs beams; the bound
+    is 10 (ka)^2. P_in = Re(conj(I_gap)) / 2 for the 1 V gap, and P_rad comes
+    from the far field's own 64 x 128 power quadrature.
+    """
+    if rule is None:
+        grid = dipole_grid(0.5 * LAM, radius, 51)
+    else:
+        grid = segment(build_design(rule, F0, 2.0 * radius), 21)
+    sol = solve_grid(grid, f_hz)
+    k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
+    nodes, weights = em_solver._gauss(em_solver._POWER_THETA_ORDER)
+    n_phi = em_solver._POWER_PHI_SAMPLES
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    axial = em_solver._axial_transforms(k, sol.basis, sol.amplitudes, nodes)
+    power = em_solver._pattern_power(k, sol.basis, axial, nodes, phi)
+    p_rad = k**2 * em_solver.ETA_0 / (32.0 * math.pi**2) * np.sum(weights[:, None] * power) * (2.0 * math.pi / n_phi)
+    p_in = 0.5 * np.real(np.conj(sol.amplitudes[sol.basis.feed_mode]))
+    assert abs(p_rad / p_in - 1.0) <= 10.0 * (k * radius) ** 2
 
 
 FAR_FIELD_CASES = (
