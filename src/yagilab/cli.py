@@ -284,12 +284,13 @@ def _cmd_design(args: argparse.Namespace) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     design = geometry.load_design(args.design)
+    freqs = parse_sweep_mhz(args.sweep) if args.sweep else None
     segs = args.segments
+    grid = em_solver.segment(design, segs)
 
-    if args.sweep:
-        freqs = parse_sweep_mhz(args.sweep)
+    if freqs is not None:
         res = args.resolution if args.resolution is not None else 2.0
-        points = em_solver.frequency_sweep(design, freqs, segs, res)
+        points = em_solver.frequency_sweep(grid, freqs, res)
         return {
             "rule": design.rule.value,
             "segments_per_element": segs,
@@ -305,7 +306,6 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
             ],
         }
     res = args.resolution if args.resolution is not None else 1.0
-    grid = em_solver.segment(design, segs)
     solution = em_solver.solve_grid(grid, design.plan.f0_hz)
     imp = em_solver.input_impedance(solution)
     field = em_solver.far_field(solution, res)

@@ -6,8 +6,8 @@ with the same functions (Galerkin), so the moment matrix is complex-symmetric
 by construction. The driven element's feed segment is split internally at its
 center so the delta-gap excitation lands on a junction and the feed unknown is
 the gap current itself. A WireGrid and the ModeBasis built from it are both
-rod tables, one row per rod; the fill, the solve and the far field read the
-basis's rods and their split segment ends.
+rod tables with the same rows, one per rod; the fill, the solve and the far
+field read the basis's rods and their split segment ends.
 
 Same-wire interactions use the azimuthally averaged surface kernel, which
 stays accurate when segments are about as short as the wire is thick; wire to
@@ -120,20 +120,19 @@ class WireGrid:
 
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """Sinusoidal dipole modes derived from a grid: one row per rod that carries modes.
+    """Sinusoidal dipole modes derived from a grid: one row per grid rod, in grid order.
 
     edges[r] holds rod r's segment ends, the grid's with the feed segment
     split at the gap. One mode sits on each internal junction: the modes of
     rod r are numbered from groups[r][0] upward, and the mode on edges[r][i + 1]
     rises over split segment i of the rod and falls over segment i + 1.
-    Rod r is grid element element[r]; a grid element of one unsplit segment
-    has no junction and no row.
+    A rod of one unsplit segment has no junction: its row carries no modes,
+    groups[r] == (a, a).
     """
 
     x: np.ndarray  # (r,) rod x, meters
     y: np.ndarray  # (r,) rod y
     radius: np.ndarray  # (r,) rod radius
-    element: np.ndarray  # (r,) grid element index of each rod
     edges: tuple[np.ndarray, ...]  # per rod, the z of its split segment ends
     feed_mode: int  # mode sitting on the feed gap
     feed_length_m: float  # length of the (unsplit) feed segment
@@ -157,12 +156,23 @@ class CurrentSolution:
     produced, paired with basis: mode n carries amplitudes[n] amps at its
     peak. The current anywhere on a wire is the sum of the sinusoidal modes
     over it; no per-segment samples are kept.
+
+    Raises DomainError unless amplitudes holds one finite value per mode of
+    basis and frequency_hz is positive and finite.
     """
 
     amplitudes: np.ndarray  # (m,) complex junction-mode coefficients
     basis: ModeBasis
     frequency_hz: float
     residual: float  # relative residual of the linear solve
+
+    def __post_init__(self) -> None:
+        shape, m = np.shape(self.amplitudes), self.basis.n_modes
+        if shape != (m,):
+            raise DomainError(f"solution has amplitudes of shape {shape} for {m} modes")
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise DomainError("solution has non-finite mode amplitudes")
+        check_frequency(self.frequency_hz)
 
 
 @dataclass(frozen=True)
@@ -291,34 +301,24 @@ def dipole_grid(length_m: float, radius_m: float, segments: int) -> WireGrid:
 def mode_basis(grid: WireGrid) -> ModeBasis:
     """Junction modes for a validated grid, with the feed segment split at the gap.
 
-    Raises GeometryError for a grid that fails validate() and for coincident
-    or overlapping elements. An element of a single unsplit segment has no
-    junction, carries no mode and has no row in the basis.
+    The basis keeps the grid's rods, their numbering and their x, y and
+    radius arrays. Raises GeometryError for a grid that fails validate() and
+    for coincident or overlapping rods.
     """
     violations = grid.validate()
     if violations:
         raise GeometryError("; ".join(violations))
-    rods, edges = [], []  # each element with modes and its split edges
-    m = 0
-    for e, z in enumerate(grid.edges):
-        if e == grid.feed_element:
-            within = (z.size - 2) // 2  # the middle segment
-            feed_mode = m + within
-            feed_length = float(z[within + 1] - z[within])
-            z = np.insert(z, within + 1, 0.5 * (z[within] + z[within + 1]))
-        if z.size > 2:
-            rods.append(e)
-            edges.append(z)
-            m += z.size - 2
-    element = np.array(rods)
+    edges, feed = list(grid.edges), grid.feed_element
+    z = edges[feed]
+    within = (z.size - 2) // 2  # the middle segment
+    edges[feed] = np.insert(z, within + 1, 0.5 * (z[within] + z[within + 1]))
     basis = ModeBasis(
-        x=grid.x[element],
-        y=grid.y[element],
-        radius=grid.radius[element],
-        element=element,
+        x=grid.x,
+        y=grid.y,
+        radius=grid.radius,
         edges=tuple(edges),
-        feed_mode=feed_mode,
-        feed_length_m=feed_length,
+        feed_mode=sum(e.size - 2 for e in grid.edges[:feed]) + within,
+        feed_length_m=float(z[within + 1] - z[within]),
     )
     _check_wire_spacing(basis)
     return basis
@@ -480,17 +480,16 @@ def _check_wire_spacing(basis: ModeBasis) -> None:
 
     Pairs are taken in (lower, higher) index order.
     """
-    elements, x, y, radius = basis.element, basis.x, basis.y, basis.radius
-    p, q = np.triu_indices(elements.size, k=1)
+    x, y, radius = basis.x, basis.y, basis.radius
+    p, q = np.triu_indices(x.size, k=1)
     with np.errstate(over="ignore"):  # too far apart is not too close; the fill checks it
         d = np.hypot(x[p] - x[q], y[p] - y[q])
     bad = np.flatnonzero((d == 0.0) | (d <= radius[p] + radius[q]))
     if bad.size:
         i = bad[0]
-        e, o = int(elements[p[i]]), int(elements[q[i]])
         if d[i] == 0.0:
-            raise GeometryError(f"elements {e} and {o} are coincident")
-        raise GeometryError(f"elements {e} and {o} overlap (axis spacing {d[i]:.4g} m)")
+            raise GeometryError(f"elements {p[i]} and {q[i]} are coincident")
+        raise GeometryError(f"elements {p[i]} and {q[i]} overlap (axis spacing {d[i]:.4g} m)")
 
 
 def _check_array_extent(k: float, basis: ModeBasis, frequency_hz: float) -> None:
@@ -509,7 +508,7 @@ def _check_array_extent(k: float, basis: ModeBasis, frequency_hz: float) -> None
     if not math.isfinite(k * extent):
         raise GeometryError(
             f"array extent {extent:.4g} m is too large for a finite phase at {frequency_hz / 1e6:g} MHz"
-            f" (element {int(basis.element[far])} lies farthest from the z axis)"
+            f" (element {far} lies farthest from the z axis)"
         )
 
 
@@ -677,19 +676,13 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     reuses rows across theta = 90 degrees and, on a y = 0 array, columns
     across phi = 0.
 
-    Raises DomainError for a bad resolution and for a solution whose
-    amplitudes are not one finite value per mode of its basis or whose
-    frequency is not positive and finite.
+    Raises DomainError for a bad resolution.
     """
     n_phi = _check_resolution(resolution_deg)
     n_theta = n_phi // 2 + 1
 
     basis, amplitudes = solution.basis, np.asarray(solution.amplitudes)
-    if amplitudes.shape != (basis.n_modes,):
-        raise DomainError(f"solution has amplitudes of shape {amplitudes.shape} for {basis.n_modes} modes")
-    if not np.all(np.isfinite(amplitudes)):
-        raise DomainError("solution has non-finite mode amplitudes")
-    k = 2.0 * math.pi * check_frequency(solution.frequency_hz) / SPEED_OF_LIGHT
+    k = 2.0 * math.pi * solution.frequency_hz / SPEED_OF_LIGHT
 
     theta = np.linspace(0.0, 180.0, n_theta)
     phi = np.arange(n_phi) * resolution_deg
@@ -728,16 +721,17 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     )
 
 
-def frequency_sweep(
-    design: YagiDesign,
-    frequencies_hz: list[float],
-    segs_per_element: int = DEFAULT_SEGMENTS_PER_ELEMENT,
-    resolution_deg: float = 2.0,
-) -> list[SweepPoint]:
-    """Impedance and peak gain at each frequency from one mode basis; failures are tagged per point."""
+def frequency_sweep(grid: WireGrid, frequencies_hz: list[float], resolution_deg: float = 2.0) -> list[SweepPoint]:
+    """Impedance and peak gain of a grid at each frequency, from one mode basis.
+
+    Each point is what solve_grid, input_impedance and far_field give at its
+    frequency; the basis is built once for all of them. A bad resolution or
+    a grid that mode_basis rejects tags every point with its error before
+    any fill, and a point whose fill, solve or far field fails is tagged
+    with that error. Raises DomainError for an empty frequency list.
+    """
     if not frequencies_hz:
         raise DomainError("frequency sweep needs at least one frequency")
-    grid = segment(design, segs_per_element)
     try:
         _check_resolution(resolution_deg)
         basis = mode_basis(grid)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -316,20 +316,9 @@ def _complex_pair(z: complex) -> list[float] | None:
 
 
 def matching_report_dict(sol: GammaSolution) -> dict:
-    """JSON-ready view of a solution; complex values become [re, im] pairs."""
+    """JSON-ready view of a solution, in field order; complex fields become [re, im] pairs."""
+    # field types are annotation strings here (from __future__ import annotations)
     return {
-        "u": sol.u,
-        "v": sol.v,
-        "alpha": sol.alpha,
-        "step_up": sol.step_up,
-        "z2_ohm": _complex_pair(sol.z2_ohm),
-        "z0_line_ohm": sol.z0_line_ohm,
-        "z2_norm": _complex_pair(sol.z2_norm),
-        "y2": _complex_pair(sol.y2),
-        "zg_norm": _complex_pair(sol.zg_norm),
-        "yg": _complex_pair(sol.yg),
-        "yin": _complex_pair(sol.yin),
-        "zin_norm": _complex_pair(sol.zin_norm),
-        "zin_ohm": _complex_pair(sol.zin_ohm),
-        "c_farad": sol.c_farad,
+        f.name: _complex_pair(getattr(sol, f.name)) if f.type == "complex" else getattr(sol, f.name)
+        for f in fields(sol)
     }

@@ -1,8 +1,9 @@
 """Per-mode columns of a mode basis, as the reference implementations read it.
 
 The oracles take, for every mode, its peak height, its lower and upper
-half-tent widths and its rod's position, radius and element. A ModeBasis
-holds those once per rod; per_mode expands them to one entry per mode.
+half-tent widths and its rod's position, radius and element (the rod's
+row, which is its grid element). A ModeBasis holds those once per rod;
+per_mode expands them to one entry per mode.
 """
 
 from types import SimpleNamespace
@@ -23,5 +24,5 @@ def per_mode(basis: ModeBasis) -> SimpleNamespace:
         x=np.repeat(basis.x, counts),
         y=np.repeat(basis.y, counts),
         radius=np.repeat(basis.radius, counts),
-        element=np.repeat(basis.element, counts),
+        element=np.repeat(np.arange(len(counts)), counts),
     )

@@ -169,8 +169,8 @@ def test_six_element_beam_regression():
 
 
 def test_sweep_tags_failed_points():
-    design = build_design("nbs", F0, 0.005)
-    points = frequency_sweep(design, [900e6, 5.4e9], segs_per_element=3, resolution_deg=10.0)
+    grid = segment(build_design("nbs", F0, 0.005), 3)
+    points = frequency_sweep(grid, [900e6, 5.4e9], resolution_deg=10.0)
     assert points[0].error is None
     assert points[0].impedance is not None
     assert points[1].error is not None
@@ -190,9 +190,9 @@ def test_sweep_tags_every_point_with_a_bad_resolution(monkeypatch):
     fills = []
     fill = em_solver.impedance_matrix
     monkeypatch.setattr(em_solver, "impedance_matrix", lambda *args: fills.append(args) or fill(*args))
-    design = build_design("nbs", F0, 0.005)
+    grid = segment(build_design("nbs", F0, 0.005), 3)
     freqs = [850e6, 900e6, 950e6]
-    points = frequency_sweep(design, freqs, segs_per_element=3, resolution_deg=math.inf)
+    points = frequency_sweep(grid, freqs, resolution_deg=math.inf)
     assert [p.frequency_hz for p in points] == freqs
     assert all(p.error is not None and "resolution" in p.error for p in points)
     assert fills == []
@@ -203,7 +203,7 @@ def test_sweep_builds_one_mode_basis(monkeypatch):
     calls = []
     build = em_solver.mode_basis
     monkeypatch.setattr(em_solver, "mode_basis", lambda grid: calls.append(grid) or build(grid))
-    points = frequency_sweep(build_design("nbs", F0, 0.005), BAND_HZ, segs_per_element=3, resolution_deg=10.0)
+    points = frequency_sweep(segment(build_design("nbs", F0, 0.005), 3), BAND_HZ, resolution_deg=10.0)
     assert all(p.error is None for p in points)
     assert len(calls) == 1
 
@@ -229,7 +229,7 @@ def test_sweep_tags_every_point_with_a_resolution_past_the_limit(monkeypatch, re
     fills = []
     fill = em_solver.impedance_matrix
     monkeypatch.setattr(em_solver, "impedance_matrix", lambda *args: fills.append(args) or fill(*args))
-    points = frequency_sweep(build_design("nbs", F0, 0.005), BAND_HZ, segs_per_element=3, resolution_deg=resolution_deg)
+    points = frequency_sweep(segment(build_design("nbs", F0, 0.005), 3), BAND_HZ, resolution_deg=resolution_deg)
     assert [p.frequency_hz for p in points] == BAND_HZ
     assert all(p.error is not None and f"resolution {resolution_deg!r} deg" in p.error for p in points)
     assert fills == []
@@ -245,17 +245,22 @@ MALFORMED_SOLUTIONS = {
 
 @pytest.mark.parametrize("corrupt, message", MALFORMED_SOLUTIONS.values(), ids=MALFORMED_SOLUTIONS.keys())
 def test_far_field_rejects_a_malformed_solution(corrupt, message):
-    """A hand-built solution fails with a DomainError that names its fault."""
+    """A hand-built solution fails with a DomainError that names its fault.
+
+    The solution checks itself, so input_impedance rejects it too rather than
+    returning a wrong or NaN impedance.
+    """
     sol = solve_grid(dipole_grid(0.5 * LAM, 1e-3 * LAM, 11), F0)
     assert sol.basis.n_modes == 11
-    with pytest.raises(DomainError, match=message):
-        far_field(corrupt(sol), resolution_deg=5.0)
+    for consume in (lambda s: far_field(s, resolution_deg=5.0), input_impedance):
+        with pytest.raises(DomainError, match=message):
+            consume(corrupt(sol))
 
 
 def test_sweep_rejects_empty_frequency_list():
-    design = build_design("nbs", F0, 0.005)
+    grid = segment(build_design("nbs", F0, 0.005), 3)
     with pytest.raises(DomainError):
-        frequency_sweep(design, [])
+        frequency_sweep(grid, [])
 
 
 def test_gain_lookup_on_and_off_grid(dipole51):
@@ -477,9 +482,8 @@ def test_impedance_is_scale_invariant_property(data, n_elements, segs, spacing_f
 
 def test_sweep_points_equal_single_point_solves():
     """Each sweep point is exactly the Z and peak gain of a solve at that frequency alone."""
-    design = build_design("nbs", F0, 0.005)
-    points = frequency_sweep(design, BAND_HZ, segs_per_element=7, resolution_deg=6.0)
-    grid = segment(design, 7)
+    grid = segment(build_design("nbs", F0, 0.005), 7)
+    points = frequency_sweep(grid, BAND_HZ, resolution_deg=6.0)
     for point, f_hz in zip(points, BAND_HZ, strict=True):
         sol = solve_grid(grid, f_hz)
         assert point.error is None
@@ -618,7 +622,7 @@ def test_mode_basis_rod_table():
     """The basis keeps the grid's rods and ends, with the feed segment split at exactly 0.0."""
     grid = segment(build_design("nbs", F0, 0.005), 11)
     basis = mode_basis(grid)
-    assert np.array_equal(basis.element, np.arange(6))
+    assert basis.x is grid.x and basis.y is grid.y and basis.radius is grid.radius
     for e, (split, edges) in enumerate(zip(basis.edges, grid.edges)):
         if e == grid.feed_element:
             assert np.array_equal(split, np.insert(edges, 6, 0.0))  # the middle of 11 segments is the sixth
@@ -722,19 +726,30 @@ def test_far_field_matches_half_tent_oracle(source, size, segs, resolution_deg):
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
 
 
-def test_single_segment_element_carries_no_mode():
-    """An element of one unsplit segment has no junction; fill and far field skip it."""
-    rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]
+def _one_segment_parasite(x):
+    """A 9-segment driven rod and, at x, a rod of one 0.1-wavelength segment."""
+    rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (x, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]
     base = _build_grid(rows, 9, 0)
-    grid = replace(base, edges=(base.edges[0], np.array([-0.05 * LAM, 0.05 * LAM])))  # the second is one segment
+    return replace(base, edges=(base.edges[0], np.array([-0.05 * LAM, 0.05 * LAM])))
+
+
+def test_single_segment_element_carries_no_mode():
+    """A rod of one unsplit segment has no junction: its basis row carries no modes."""
+    grid = _one_segment_parasite(0.2 * LAM)
     basis = mode_basis(grid)
-    assert basis.groups == ((0, 9),)
-    assert np.array_equal(basis.element, [0])
+    assert basis.groups == ((0, 9), (9, 9))
+    assert basis.x is grid.x
     assert _oracle_defect(grid, F0) <= 1e-12
     sol = solve_grid(grid, F0)
     got = far_field(sol, resolution_deg=5.0)
     want = far_field_halves.far_field(sol, grid, resolution_deg=5.0)
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
+
+
+def test_single_segment_element_coincident_with_the_driven_rod_is_rejected():
+    """A rod without modes is still a rod: the wire spacing check sees it."""
+    with pytest.raises(GeometryError, match="^elements 0 and 1 are coincident$"):
+        mode_basis(_one_segment_parasite(0.0))
 
 
 def test_far_field_mirrors_a_y0_array_exactly_and_breaks_ties_to_low_phi():
@@ -757,11 +772,15 @@ OFF_AXIS_ARRAYS = {
 }
 
 
+def _off_axis_grid(layout):
+    rows = [(x * LAM, y * LAM, length * LAM, 1e-3 * LAM, i) for x, y, length, i in layout]
+    return _build_grid(rows, 9, 0)
+
+
 @pytest.mark.parametrize("layout", OFF_AXIS_ARRAYS.values(), ids=OFF_AXIS_ARRAYS.keys())
 def test_far_field_off_axis_array_matches_half_tent_oracle(layout):
     """Wires off y = 0 take the full phi grid and still match the oracle."""
-    rows = [(x * LAM, y * LAM, length * LAM, 1e-3 * LAM, i) for x, y, length, i in layout]
-    grid = _build_grid(rows, 9, 0)
+    grid = _off_axis_grid(layout)
     sol = solve_grid(grid, F0)
     assert np.any(sol.basis.y)  # the branch that evaluates every phi column
     got = far_field(sol, resolution_deg=2.0)
@@ -771,3 +790,14 @@ def test_far_field_off_axis_array_matches_half_tent_oracle(layout):
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
     # the pattern is not even in phi, so copying mirrored columns would fail above
     assert not np.allclose(want.magnitude[:, 1:], want.magnitude[:, :0:-1])
+
+
+def test_sweep_of_a_hand_built_off_axis_grid_equals_single_point_solves():
+    """frequency_sweep takes any grid, not only a segmented design."""
+    grid = _off_axis_grid(OFF_AXIS_ARRAYS["parasite-off-axis"])
+    points = frequency_sweep(grid, BAND_HZ, resolution_deg=6.0)
+    for point, f_hz in zip(points, BAND_HZ, strict=True):
+        sol = solve_grid(grid, f_hz)
+        assert point.error is None
+        assert point.impedance.z == input_impedance(sol).z
+        assert point.peak_gain_dbi == far_field(sol, 6.0).peak_gain_dbi()
