@@ -21,12 +21,11 @@ entry is a sum of integrals of one (edge, segment) pair, and each integral
 serves all the mode pairs that use it. The integrals are exact: a sinusoid
 against the spherical wave integrates to sine and cosine integrals of the
 segment's ends (the classical mutual impedance of sinusoidal dipoles), so
-an integral needs only a table, per element pair, of one function of the
-signed offset of a segment end from an edge. The fill is one loop over
-element pairs p <= q, each tabulating its distinct offsets, and the whole
-fill evaluates Si and Ci in one call (numpy only, yagilab.special). Because
-the matrix is symmetric, one value is written to both mirror places of each
-entry pair, so the returned matrix is exactly symmetric.
+an integral needs only one function of the signed offset of a segment end
+from an edge. mode_basis tabulates each element pair's distinct offsets
+once; a fill is one loop over element pairs p <= q that evaluates Si and Ci
+for all of them in one call (numpy only, yagilab.special) and writes one
+value to both mirror places of each entry pair, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -57,6 +57,8 @@ _POWER_THETA_ORDER = 64
 _POWER_PHI_SAMPLES = 128
 # finest pattern grid, 0.05 degrees; a 3-segment simulate at it peaks at about 1.1 GiB
 _MAX_PHI_STEPS = 7200
+# most modes a basis may hold; a one-rod solve at it peaks at about 1 GiB
+_MAX_MODES = 2250
 
 
 @functools.cache
@@ -88,6 +90,10 @@ class WireGrid:
         n = len(self.edges)
         if n == 0:
             return ["grid has no elements"]
+        malformed = [c for c in ("x", "y", "radius") if not _real_vector(getattr(self, c))]
+        malformed += [f"edges[{e}]" for e, z in enumerate(self.edges) if not _real_vector(z)]
+        if malformed:
+            return [f"rod table {name} is not a 1-D array of real numbers" for name in malformed]
         if not len(self.x) == len(self.y) == len(self.radius) == n:
             return [
                 f"rod table columns differ in length: x {len(self.x)}, y {len(self.y)},"
@@ -103,7 +109,7 @@ class WireGrid:
                 v.append(f"element {e} has a non-finite position ({float(x)!r}, {float(y)!r})")
             if not (math.isfinite(radius) and radius > 0):
                 v.append(f"element {e} has a non-positive or non-finite radius {float(radius)!r}")
-            lengths = np.diff(z) if z.ndim == 1 and np.all(np.isfinite(z)) else np.zeros(0)
+            lengths = np.diff(z.astype(float)) if np.all(np.isfinite(z)) else np.zeros(0)
             if not (lengths.size and np.all(lengths > 0)):
                 v.append(f"element {e} segment ends are not finite and increasing")
                 continue
@@ -118,6 +124,11 @@ class WireGrid:
         return v
 
 
+def _real_vector(a: object) -> bool:
+    """Whether a is a 1-D numpy array of integers or floats."""
+    return isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iuf"
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Sinusoidal dipole modes derived from a grid: one row per grid rod, in grid order.
@@ -127,7 +138,8 @@ class ModeBasis:
     rod r are numbered from groups[r][0] upward, and the mode on edges[r][i + 1]
     rises over split segment i of the rod and falls over segment i + 1.
     A rod of one unsplit segment has no junction: its row carries no modes,
-    groups[r] == (a, a).
+    groups[r] == (a, a). The fields after feed_length_m, with read-only
+    arrays, are what every fill and far field needs of the geometry alone.
     """
 
     x: np.ndarray  # (r,) rod x, meters
@@ -136,6 +148,11 @@ class ModeBasis:
     edges: tuple[np.ndarray, ...]  # per rod, the z of its split segment ends
     feed_mode: int  # mode sitting on the feed gap
     feed_length_m: float  # length of the (unsplit) feed segment
+    pairs: tuple[tuple[int, int, np.ndarray, np.ndarray, np.ndarray], ...]  # (p, q, offsets, at, rho weights)
+    w: np.ndarray  # kernel distances w(u, rho) of every element pair, concatenated
+    splits: np.ndarray  # where each pair's w values end, but the last
+    widths: np.ndarray  # per edge of the rods in order, the width of the segment above it (0 at a rod's top)
+    mode_edge: np.ndarray  # per mode, its lower edge in that order
 
     @property
     def groups(self) -> tuple[tuple[int, int], ...]:
@@ -302,30 +319,86 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
     """Junction modes for a validated grid, with the feed segment split at the gap.
 
     The basis keeps the grid's rods, their numbering and their x, y and
-    radius arrays. Raises GeometryError for a grid that fails validate() and
-    for coincident or overlapping rods.
+    radius arrays, and tabulates what its fills and far fields need of the
+    geometry. Raises GeometryError for a grid that fails validate() and for
+    coincident or overlapping rods, DiscretizationError past _MAX_MODES modes.
     """
     violations = grid.validate()
     if violations:
         raise GeometryError("; ".join(violations))
-    edges, feed = list(grid.edges), grid.feed_element
+    m = grid.n_segments - len(grid.edges) + 1  # a mode per junction, one more for the split
+    if m > _MAX_MODES:
+        raise DiscretizationError(f"grid has {m} modes, more than the {_MAX_MODES} a solve allows; use fewer segments")
+    _check_wire_spacing(grid)
+    edges, feed = [np.asarray(z, dtype=float) for z in grid.edges], grid.feed_element
     z = edges[feed]
     within = (z.size - 2) // 2  # the middle segment
     edges[feed] = np.insert(z, within + 1, 0.5 * (z[within] + z[within + 1]))
-    basis = ModeBasis(
+    return ModeBasis(
         x=grid.x,
         y=grid.y,
         radius=grid.radius,
         edges=tuple(edges),
         feed_mode=sum(e.size - 2 for e in grid.edges[:feed]) + within,
         feed_length_m=float(z[within + 1] - z[within]),
+        **_kernel_table(grid, edges),
     )
-    _check_wire_spacing(basis)
-    return basis
+
+
+def _pair_kernel(offsets: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One element pair's kernel distances w(u, rho), once per distinct offset in U and -U.
+
+    Returns w of the distinct offsets by distance nodes, flattened, and the
+    index of W(u) and of W(-u) for every offset u of the pair. For u > 0,
+    w = rho * (rho / (R + u)), so nothing cancels and rho^2 is never formed.
+    """
+    keys, at = np.unique(np.concatenate([offsets, -offsets]), return_inverse=True)
+    u = np.abs(keys)[:, None]
+    r_plus = np.hypot(u, rho) + u  # w(-|u|)
+    return np.where(keys[:, None] > 0, rho * (rho / r_plus), r_plus).ravel(), at.reshape(2, *offsets.shape)
+
+
+def _kernel_table(grid: WireGrid, edges: list[np.ndarray]) -> dict:
+    """The kernel table fields of the ModeBasis of a grid whose rods have these split segment ends.
+
+    Element pair p <= q takes the offsets of q's edges from p's, snapped to
+    p's lattice (its span over a whole number of its narrowest segments) when
+    all lie on it to roundoff, and as distance nodes the ring nodes of p's
+    radius when p == q, the wires' axis distance otherwise.
+    """
+    # ring quadrature for the azimuthally averaged same-wire kernel:
+    # (1/pi) * integral over (0, pi) of f(2 a sin(phi/2)) dphi
+    ring_nodes, ring_w = _gauss(_RING_QUAD_ORDER)
+    ring = 2.0 * np.sin(0.25 * math.pi * (ring_nodes + 1.0))  # 2 sin(phi/2) at phi = (pi/2)(node + 1)
+    ring_weights, axis_weight = 0.5 * ring_w, np.ones(1)  # folded (1/pi) * (pi/2) Jacobian
+    pairs, w = [], []
+    # rods too far apart for a finite distance give NaN here; a fill refuses them first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, e in enumerate(edges):
+            span = e[-1] - e[0]
+            step = span / np.rint(span / np.min(np.diff(e)))
+            for q in range(p, len(edges)):
+                offsets = edges[q] - e[:, None]
+                snapped = np.rint(offsets / step) * step
+                if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
+                    offsets = snapped
+                if q == p:
+                    rho, rho_weights = grid.radius[p] * ring, ring_weights
+                else:
+                    rho, rho_weights = np.hypot(grid.x[q] - grid.x[p], grid.y[q] - grid.y[p])[None], axis_weight
+                pair_w, at = _pair_kernel(offsets, rho)
+                pairs.append((p, q, offsets, at, rho_weights))
+                w.append(pair_w)
+    w, splits = np.concatenate(w), np.cumsum([pair_w.size for pair_w in w])[:-1]
+    widths = np.concatenate([np.append(np.diff(e), 0.0) for e in edges])  # 0 at each rod's top edge
+    mode_edge = np.flatnonzero(np.concatenate([np.arange(e.size) < e.size - 2 for e in edges]))
+    for a in (w, splits, widths, mode_edge, *(a for pair in pairs for a in pair[2:])):
+        a.flags.writeable = False
+    return dict(pairs=tuple(pairs), w=w, splits=splits, widths=widths, mode_edge=mode_edge)
 
 
 def _sin_widths(k: float, widths: np.ndarray) -> np.ndarray:
-    """sin(k*w) per segment of a rod, guarding against half-wave-long segments."""
+    """sin(k*w) per segment, guarding against half-wave-long segments."""
     if np.max(k * widths) >= 0.95 * math.pi:
         raise DiscretizationError(
             "segments approach a half wavelength; sinusoidal interpolation needs"
@@ -334,18 +407,17 @@ def _sin_widths(k: float, widths: np.ndarray) -> np.ndarray:
     return np.sin(k * widths)
 
 
-def _wave_center_weights(k: float, edges: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """sin(k w) per segment of a rod, and per mode of the rod its three wave-center weights.
+def _wave_center_weights(k: float, basis: ModeBasis) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per mode, sin(k w) of its lower and upper segment, and its three wave-center weights.
 
     The weights of a mode's lower edge, peak and upper edge are 1/sin(k w_lo),
     -(cot(k w_lo) + cot(k w_hi)) and 1/sin(k w_hi), w_lo and w_hi its segment
     widths: the finite-dipole field of Balanis, Antenna Theory, ch. 4.
     """
-    w = np.diff(edges)
-    sin_w = _sin_widths(k, w)
-    sin_lo, sin_hi = sin_w[:-1], sin_w[1:]
-    mid = -(np.cos(k * w[:-1]) / sin_lo + np.cos(k * w[1:]) / sin_hi)
-    return sin_w, (1.0 / sin_lo, mid, 1.0 / sin_hi)
+    lo, sin_w, cos_w = basis.mode_edge, _sin_widths(k, basis.widths), np.cos(k * basis.widths)
+    sin_lo, sin_hi = sin_w[lo], sin_w[lo + 1]
+    mid = -(cos_w[lo] / sin_lo + cos_w[lo + 1] / sin_hi)
+    return (sin_lo, sin_hi), (1.0 / sin_lo, mid, 1.0 / sin_hi)
 
 
 def _cis(angle: np.ndarray) -> np.ndarray:
@@ -360,19 +432,6 @@ def _cis(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_arguments(k: float, offsets: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One element pair's Si/Ci arguments k w(u, rho), once per distinct offset in U and -U.
-
-    Returns the arguments, distinct offsets by distance nodes, flattened, and
-    the index of W(u) and of W(-u) for every offset u of the pair.
-    """
-    keys, at = np.unique(np.concatenate([offsets, -offsets]), return_inverse=True)
-    u = np.abs(keys)[:, None]
-    r_plus = np.hypot(u, rho) + u  # w(-|u|)
-    args = k * np.where(keys[:, None] > 0, rho * (rho / r_plus), r_plus).ravel()
-    return args, at.reshape(2, *offsets.shape)
-
-
 def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     """Dense complex-symmetric moment matrix of a mode basis at one frequency.
 
@@ -380,26 +439,18 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     reciprocal feed segment length so the matching excitation vector of a
     1 V gap is zero except for 1/feed_length at the feed mode.
 
-    Every entry is built from wave-center segment integrals: a source mode is
-    three point sources at its segment edges and an observation mode is a
-    rising and a falling sinusoid over its two segments, so one integral of
-    an (edge, segment) pair serves every mode pair that uses it.
-
-    The integrals are exact. With u the offset of a point of q from an edge
+    Entries are wave-center segment integrals (see the module docstring). With u the offset of a point of q from an edge
     of p, R = hypot(u, rho) and w(u) = R - u, du/R = -dw/w, so a sinusoid
     against e^{-jkR}/R integrates to F(x) = Ci(x) - j Si(x) at x = k w of
-    the segment's ends; R + u is w(-u). Each element pair p <= q takes the
-    offsets U of q's edges from p's edges, snapped to p's lattice (its span
-    over a whole number of its narrowest segments) when all lie on it to
-    roundoff, and tabulates W(u) = sum over the distance nodes rho of
-    weight * F(k w(u, rho)) once per distinct offset in U and -U: with the
-    ring nodes of p's radius when p == q, at the wires' axis distance
-    otherwise. The phases e^{-jku} do not depend on rho, so for a segment
+    the segment's ends; R + u is w(-u). Each element pair p <= q tabulates
+    W(u) = sum over the distance nodes rho of weight * F(k w(u, rho)) once
+    per distinct offset in U and -U, the offsets of q's edges from p's: the
+    basis's kernel table holds those offsets and w values, so a fill
+    computes only k w, one Si/Ci call for every pair's arguments, and the
+    phases. The phases e^{-jku} do not depend on rho, so for a segment
     [lo, hi] of q
         2j rise = e^{-jk lo} (W(lo) - W(hi)) - e^{jk lo} (W(-hi) - W(-lo)),
         2j fall = e^{jk hi} (W(-hi) - W(-lo)) - e^{-jk hi} (W(lo) - W(hi)).
-    Every pair's arguments go through one Si/Ci call per fill. For u > 0,
-    w = rho * (rho / (R + u)), so nothing cancels and rho^2 is never formed.
 
     A wire-to-wire block is written to both of its places, and a same-wire
     block is averaged with its transpose, since modes of unequal widths
@@ -411,48 +462,17 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     _check_array_extent(k, basis, f)
     m = basis.n_modes
     z = np.empty((m, m), dtype=complex)
-
-    # ring quadrature for the azimuthally averaged same-wire kernel:
-    # (1/pi) * integral over (0, pi) of f(2 a sin(phi/2)) dphi
-    ring_nodes, ring_w = _gauss(_RING_QUAD_ORDER)
-    ring_phi = 0.5 * math.pi * (ring_nodes + 1.0)
-    ring_weights = 0.5 * ring_w  # folded (1/pi) * (pi/2) Jacobian
-    axis_weight = np.ones(1)
-
-    edges = basis.edges
-    pairs, args, sines, coefs = [], [], [], []
-    for p, e in enumerate(edges):
-        sin_w, weights = _wave_center_weights(k, e)
-        sines.append(sin_w)
-        coefs.append(tuple(c[:, None] for c in weights))
-        span = e[-1] - e[0]
-        step = span / np.rint(span / np.min(np.diff(e)))
-        for q in range(p, len(edges)):
-            # q's edges as offsets from p's edges, snapped to exact multiples
-            # of p's lattice step when all lie on it to roundoff
-            offsets = edges[q] - e[:, None]
-            snapped = np.rint(offsets / step) * step
-            if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
-                offsets = snapped
-            if q == p:
-                rho, rho_weights = 2.0 * basis.radius[p] * np.sin(ring_phi / 2.0), ring_weights
-            else:
-                rho, rho_weights = np.hypot(basis.x[q] - basis.x[p], basis.y[q] - basis.y[p])[None], axis_weight
-            pair_args, at = _kernel_arguments(k, offsets, rho)
-            args.append(pair_args)
-            pairs.append((p, q, offsets, at, rho_weights))
-
-    x = np.concatenate(args)
+    (sin_lo, sin_hi), (c_lo, c_mid, c_hi) = _wave_center_weights(k, basis)
+    x = k * basis.w
     if not np.min(x) > 0.0:  # k w underflows only for a wire thinner than about 1e-160 m
         raise GeometryError(
             f"wire radius {float(np.min(basis.radius)):.4g} m is too thin for a finite kernel"
             f" at {f / 1e6:g} MHz"
         )
     si, ci = sici(x)
-    table = np.split(ci - 1j * si, np.cumsum([pair_args.size for pair_args in args[:-1]]))
     groups = basis.groups
-    for (p, q, offsets, at, rho_weights), values in zip(pairs, table):
-        w_table = values.reshape(-1, rho_weights.size) @ rho_weights
+    for (p, q, offsets, at, rho_weights), pair_values in zip(basis.pairs, np.split(ci - 1j * si, basis.splits)):
+        w_table = pair_values.reshape(-1, rho_weights.size) @ rho_weights
         w_pos, w_neg = w_table[at]  # W(u), W(-u)
         down = w_pos[:, :-1] - w_pos[:, 1:]  # W(lo) - W(hi)
         up = w_neg[:, 1:] - w_neg[:, :-1]  # W(-hi) - W(-lo)
@@ -461,10 +481,9 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
         fall = phase[:, 1:].conj() * up - phase[:, 1:] * down
         # each observation mode of q rises over one segment and falls over
         # the next; each source mode of p weights three consecutive edges
-        h = rise[:, :-1] / sines[q][:-1] + fall[:, 1:] / sines[q][1:]
-        c_lo, c_mid, c_hi = coefs[p]
-        pair_block = c_lo * h[:-2] + c_mid * h[1:-1] + c_hi * h[2:]
         (a, b), (c, d) = groups[p], groups[q]
+        h = rise[:, :-1] / sin_lo[c:d] + fall[:, 1:] / sin_hi[c:d]
+        pair_block = c_lo[a:b, None] * h[:-2] + c_mid[a:b, None] * h[1:-1] + c_hi[a:b, None] * h[2:]
         if q == p:
             z[a:b, a:b] = 0.5 * (pair_block + pair_block.T)
         else:
@@ -475,12 +494,12 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     return z
 
 
-def _check_wire_spacing(basis: ModeBasis) -> None:
+def _check_wire_spacing(rods: WireGrid | ModeBasis) -> None:
     """Raise GeometryError for the first coincident or overlapping element pair.
 
     Pairs are taken in (lower, higher) index order.
     """
-    x, y, radius = basis.x, basis.y, basis.radius
+    x, y, radius = rods.x, rods.y, rods.radius
     p, q = np.triu_indices(x.size, k=1)
     with np.errstate(over="ignore"):  # too far apart is not too close; the fill checks it
         d = np.hypot(x[p] - x[q], y[p] - y[q])
@@ -591,18 +610,20 @@ def _axial_transforms(
     exact for |cos theta| >= 1/2, nothing then cancels as sin(theta) -> 0:
         e^{j alpha z} - e^{j s k z} = -2j s sin(k d z / 2) e^{jk (cos theta + s) z / 2},
         k sin^2 theta = k d (1 + |cos theta|).
+    The W_j of all rods are scattered onto their edges in one pass, through
+    the basis's mode_edge index.
     """
-    weights = []
-    for e, (a, b) in zip(basis.edges, basis.groups):
-        _, (c_lo, c_mid, c_hi) = _wave_center_weights(k, e)
-        amps = amplitudes[a:b]  # mode i of the rod weights edges i, i + 1 and i + 2
-        weights.append(np.pad(amps * c_lo, (0, 2)) + np.pad(amps * c_mid, 1) + np.pad(amps * c_hi, (2, 0)))
+    _, (c_lo, c_mid, c_hi) = _wave_center_weights(k, basis)
+    lo, weights = basis.mode_edge, np.zeros(basis.widths.size, dtype=complex)
+    weights[lo] = amplitudes * c_lo  # mode n weights edges lo[n], lo[n] + 1 and lo[n] + 2
+    weights[lo + 1] += amplitudes * c_mid
+    weights[lo + 2] += amplitudes * c_hi
     half_kz = 0.5 * k * np.concatenate(basis.edges)
     s = np.where(cos_theta < 0.0, -1.0, 1.0)
     d = 1.0 - np.abs(cos_theta)
     scale = np.zeros(d.shape)
     np.divide(-2.0 * s, k * d * (1.0 + np.abs(cos_theta)), out=scale, where=d > 0.0)
-    sources = np.sin(np.outer(d, half_kz)) * _cis(np.outer(cos_theta + s, half_kz)) * np.concatenate(weights)
+    sources = np.sin(np.outer(d, half_kz)) * _cis(np.outer(cos_theta + s, half_kz)) * weights
     first = np.cumsum([0] + [e.size for e in basis.edges[:-1]])
     return np.add.reduceat(sources, first, axis=1) * (1j * scale)[:, None]
 
@@ -670,11 +691,11 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     The gain normalization divides by radiated power computed with a
     Gauss-Legendre quadrature that is independent of the sample grid: 64
     nodes in cos(theta) times 128 midpoint samples in phi. Both grids take
-    the per-rod radiation integrals (_axial_transforms), exact sums over
-    the modes' wave centers with the nearer pole's phase subtracted, and
-    then the array factor over the wire positions (_pattern_power), which
-    reuses rows across theta = 90 degrees and, on a y = 0 array, columns
-    across phi = 0.
+    the per-rod radiation integrals (one _axial_transforms call for both),
+    exact sums over the modes' wave centers with the nearer pole's phase
+    subtracted, and then the array factor over the wire positions
+    (_pattern_power), which reuses rows across theta = 90 degrees and, on a
+    y = 0 array, columns across phi = 0.
 
     Raises DomainError for a bad resolution.
     """
@@ -687,14 +708,12 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     theta = np.linspace(0.0, 180.0, n_theta)
     phi = np.arange(n_phi) * resolution_deg
     cos_theta = np.cos(np.radians(theta))
-    axial = _axial_transforms(k, basis, amplitudes, cos_theta)
-    power = _pattern_power(k, basis, axial, cos_theta, np.radians(phi))
-
-    # radiated power from an independent spherical quadrature
+    # the sample rows, then the radiated power's independent spherical quadrature
     x_nodes, x_weights = _gauss(_POWER_THETA_ORDER)
+    axial = _axial_transforms(k, basis, amplitudes, np.concatenate([cos_theta, x_nodes]))
+    power = _pattern_power(k, basis, axial[:n_theta], cos_theta, np.radians(phi))
     phi_q = (np.arange(_POWER_PHI_SAMPLES) + 0.5) * (2.0 * math.pi / _POWER_PHI_SAMPLES)
-    axial_q = _axial_transforms(k, basis, amplitudes, x_nodes)
-    power_q = _pattern_power(k, basis, axial_q, x_nodes, phi_q)
+    power_q = _pattern_power(k, basis, axial[n_theta:], x_nodes, phi_q)
     u_const = k**2 * ETA_0 / (32.0 * math.pi**2)
     p_rad = u_const * float(
         (x_weights[:, None] * power_q).sum() * (2.0 * math.pi / _POWER_PHI_SAMPLES)
@@ -721,15 +740,16 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     )
 
 
-def frequency_sweep(grid: WireGrid, frequencies_hz: list[float], resolution_deg: float = 2.0) -> list[SweepPoint]:
+def frequency_sweep(grid: WireGrid, frequencies_hz: Iterable[float], resolution_deg: float = 2.0) -> list[SweepPoint]:
     """Impedance and peak gain of a grid at each frequency, from one mode basis.
 
     Each point is what solve_grid, input_impedance and far_field give at its
     frequency; the basis is built once for all of them. A bad resolution or
     a grid that mode_basis rejects tags every point with its error before
     any fill, and a point whose fill, solve or far field fails is tagged
-    with that error. Raises DomainError for an empty frequency list.
+    with that error. Raises DomainError when frequencies_hz, any iterable, is empty.
     """
+    frequencies_hz = list(frequencies_hz)
     if not frequencies_hz:
         raise DomainError("frequency sweep needs at least one frequency")
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -26,8 +27,13 @@ BASE_FREQUENCY_HZ = 900e6
 
 
 def check_frequency(frequency_hz: float) -> float:
-    """A frequency in Hz as a float; raises DomainError unless it is a positive finite number."""
-    if not (isinstance(frequency_hz, (int, float)) and math.isfinite(frequency_hz)):
+    """A frequency in Hz as a float; raises DomainError unless it is a positive finite number.
+
+    Any real number is accepted, numpy scalars included, but not a bool.
+    """
+    if not isinstance(frequency_hz, numbers.Real) or isinstance(frequency_hz, bool):
+        raise DomainError(f"frequency must be a real number of Hz, got {frequency_hz!r}")
+    if not math.isfinite(frequency_hz):
         raise DomainError(f"frequency must be finite, got {frequency_hz!r}")
     if frequency_hz <= 0:
         raise DomainError(f"frequency must be positive, got {frequency_hz}")

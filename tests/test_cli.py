@@ -528,6 +528,22 @@ def test_simulate_solves_a_far_but_finite_rod(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])
+def test_simulate_refuses_more_modes_than_a_solve_may_hold(tmp_path, capsys, flags):
+    """A thin-rod design at 100001 segments per element fails with its mode count, not a memory error."""
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--diameter-mm", "0.001", "--out", str(design), "--quiet"]) == 0
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "100001", "--out", str(out), "--quiet", *flags])
+    message = "grid has 600001 modes, more than the 2250 a solve allows; use fewer segments"
+    if flags:
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert [p["error"] for p in json.loads(out.read_text())["sweep"]] == [message] * 3
+    else:
+        assert rc == 1
+        _assert_one_error_line(capsys, message)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])
 def test_simulate_rejects_a_design_with_two_driven_elements(tmp_path, capsys, flags):
     """Only one element can hold the feed gap; a second driven element is an error, not ignored."""
     design, out = tmp_path / "d.json", tmp_path / "s.json"

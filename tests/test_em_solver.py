@@ -13,8 +13,9 @@ from mode_columns import per_mode
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
 from yagilab import em_solver
 from yagilab.em_solver import (
+    WireGrid,
     _build_grid,
-    _kernel_arguments,
+    _pair_kernel,
     dipole_grid,
     far_field,
     frequency_sweep,
@@ -235,6 +236,35 @@ def test_sweep_tags_every_point_with_a_resolution_past_the_limit(monkeypatch, re
     assert fills == []
 
 
+def test_mode_count_past_the_cap_is_refused_before_any_table(monkeypatch):
+    """A grid of more than _MAX_MODES modes raises DiscretizationError; a sweep tags every point with it."""
+    calls = _spy_pair_kernel(monkeypatch)
+    cap = em_solver._MAX_MODES
+    grid = dipole_grid(0.5 * LAM, 1e-6 * LAM, cap + 1 if cap % 2 == 0 else cap + 2)
+    message = f"grid has {grid.n_segments} modes, more than the {cap} a solve allows; use fewer segments"
+    with pytest.raises(DiscretizationError, match=f"^{re.escape(message)}$"):
+        mode_basis(grid)
+    points = frequency_sweep(grid, BAND_HZ)
+    assert [p.error for p in points] == [message] * 3
+    assert calls == []
+
+
+def test_sweep_accepts_any_sequence_of_frequencies():
+    grid = segment(build_design("nbs", F0, 0.005), 3)
+    points = frequency_sweep(grid, BAND_HZ, resolution_deg=10.0)
+    assert frequency_sweep(grid, np.array(BAND_HZ), resolution_deg=10.0) == points
+    assert frequency_sweep(grid, tuple(BAND_HZ), resolution_deg=10.0) == points
+    with pytest.raises(DomainError, match="at least one frequency"):
+        frequency_sweep(grid, np.array([]))
+
+
+def test_sweep_tags_a_bool_frequency():
+    """True is not 1 Hz: the point fails instead of solving."""
+    points = frequency_sweep(segment(build_design("nbs", F0, 0.005), 3), [True, 905e6], resolution_deg=10.0)
+    assert points[0].error == "frequency must be a real number of Hz, got True"
+    assert points[1].error is None
+
+
 MALFORMED_SOLUTIONS = {
     "one-amplitude-short": (lambda sol: replace(sol, amplitudes=sol.amplitudes[:-1]), r"shape \(10,\) for 11 modes"),
     "one-amplitude-long": (lambda sol: replace(sol, amplitudes=np.append(sol.amplitudes, 0.0)), r"shape \(12,\) for 11 modes"),
@@ -346,6 +376,26 @@ GRID_VIOLATIONS = {
         lambda: _two_rods(x=np.zeros(0), y=np.zeros(0), radius=np.zeros(0), edges=()),
         "grid has no elements",
     ),
+    "x-as-list": (
+        lambda: _two_rods(x=[0.0, 0.2 * LAM]),
+        "rod table x is not a 1-D array of real numbers",
+    ),
+    "radius-as-column": (
+        lambda: _two_rods(radius=np.full((2, 1), 1e-3)),
+        "rod table radius is not a 1-D array of real numbers",
+    ),
+    "complex-y": (
+        lambda: _two_rods(y=np.zeros(2, dtype=complex)),
+        "rod table y is not a 1-D array of real numbers",
+    ),
+    "ends-as-list": (
+        lambda: _two_rods(edges=(_two_rods().edges[0], list(_two_rods().edges[1]))),
+        "rod table edges[1] is not a 1-D array of real numbers",
+    ),
+    "ends-as-row": (
+        lambda: _two_rods(edges=(_two_rods().edges[0], _two_rods().edges[1][None, :])),
+        "rod table edges[1] is not a 1-D array of real numbers",
+    ),
 }
 
 
@@ -357,6 +407,17 @@ def test_grid_violation_raises_geometry_error(case):
     assert grid.validate() == [message]
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         solve_grid(grid, F0)
+
+
+def test_integer_segment_ends_solve_as_floats():
+    """Integer ends are taken as floats: the gap splits the 1 m feed segment [5, 6] at 5.5, not 5."""
+    ends = np.arange(0, 12)
+    grid = WireGrid(x=np.zeros(1), y=np.zeros(1), radius=np.array([0.01]), edges=(ends,), feed_element=0)
+    assert grid.validate() == []
+    assert np.array_equal(mode_basis(grid).edges[0][5:8], [5.0, 5.5, 6.0])
+    z = input_impedance(solve_grid(grid, 13e6)).z
+    assert z == input_impedance(solve_grid(replace(grid, edges=(ends.astype(float),)), 13e6)).z
+    assert z == pytest.approx(70.115 - 7.177j, abs=1e-3)
 
 
 def test_coincident_elements_rejected():
@@ -536,22 +597,22 @@ def test_element_shifted_along_its_axis_matches_dense_oracle():
     assert _oracle_defect(grid, F0) <= 1e-12
 
 
-def _spy_kernel_arguments(monkeypatch):
-    """Record (distance nodes, distinct offsets, offsets) of every element pair's argument table."""
+def _spy_pair_kernel(monkeypatch):
+    """Record (distance nodes, distinct offsets, offsets) of every element pair's kernel table."""
     calls = []
 
-    def spy(k, offsets, rho):
-        args, at = _kernel_arguments(k, offsets, rho)
-        calls.append((rho.size, args.size // rho.size, offsets.size))
-        return args, at
+    def spy(offsets, rho):
+        w, at = _pair_kernel(offsets, rho)
+        calls.append((rho.size, w.size // rho.size, offsets.size))
+        return w, at
 
-    monkeypatch.setattr(em_solver, "_kernel_arguments", spy)
+    monkeypatch.setattr(em_solver, "_pair_kernel", spy)
     return calls
 
 
 @pytest.mark.parametrize("segs", [3, 21, 41])
 def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
-    """A segmented beam's same-wire blocks snap to their lattice and deduplicate.
+    """A segmented beam's same-wire kernel tables snap to their lattice and deduplicate.
 
     A uniform element of N segments has the 2N + 1 offsets between -N and N
     lattice steps, and the driven element, whose split feed segment halves
@@ -559,9 +620,9 @@ def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
     2(N+1)^2 offsets per element and only run slower, so the count itself is
     checked.
     """
-    calls = _spy_kernel_arguments(monkeypatch)
+    calls = _spy_pair_kernel(monkeypatch)
     basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
-    impedance_matrix(basis, 905e6)
+    impedance_matrix(basis, 905e6)  # reads the basis's table, tabulates nothing
     sizes = [n_offsets for n_rho, n_offsets, _ in calls if n_rho > 1]  # the ring nodes: same-wire
     driven = [a <= basis.feed_mode < b for a, b in basis.groups]
     assert len(sizes) == len(driven) == 6
@@ -571,16 +632,16 @@ def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
 
 @pytest.mark.parametrize("segs", [3, 21, 41])
 def test_fill_makes_one_kernel_call_per_element_pair(monkeypatch, segs):
-    """Every element pair's block tabulates its kernel arguments in one call.
+    """mode_basis tabulates every element pair's kernel distances in one call.
 
     The beam is symmetric about z = 0, so the negated offsets of a
     wire-to-wire block are offsets of that block too, and it tabulates no
     more distinct offsets than it has (edge, edge) pairs. Were the fold to
     miss, the fill would only run slower, so the count itself is checked.
     """
-    calls = _spy_kernel_arguments(monkeypatch)
+    calls = _spy_pair_kernel(monkeypatch)
     basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
-    impedance_matrix(basis, 905e6)
+    impedance_matrix(basis, 905e6)  # reads the basis's table, tabulates nothing
     n = len(basis.groups)
     assert len(calls) == n * (n + 1) // 2 == 21
     wire_to_wire = [(n_offsets, n_pairs) for n_rho, n_offsets, n_pairs in calls if n_rho == 1]
@@ -616,6 +677,31 @@ def test_fill_makes_one_sici_call(monkeypatch, segs):
     wire_to_wire = sum(edges[p] * edges[q] for p in range(n) for q in range(p + 1, n))
     assert len(sizes) == 1
     assert sizes[0] <= same_wire + wire_to_wire
+
+
+def test_sweep_builds_each_pair_table_once(monkeypatch):
+    """A 3-point sweep tabulates the 21 element pairs' kernel distances once, not once per point."""
+    calls = _spy_pair_kernel(monkeypatch)
+    points = frequency_sweep(segment(build_design("nbs", F0, 0.005), 7), BAND_HZ, resolution_deg=10.0)
+    assert all(p.error is None for p in points)
+    assert len(calls) == 21
+
+
+def test_fills_of_one_basis_equal_fills_of_fresh_bases():
+    """A basis filled at 850, 905, 960 and again 850 MHz keeps no state between frequencies."""
+    grid = segment(build_design("nbs", F0, 0.005), 11)
+    shared = mode_basis(grid)
+    for f in [*BAND_HZ, BAND_HZ[0]]:
+        assert np.array_equal(impedance_matrix(shared, f), impedance_matrix(mode_basis(grid), f))
+
+
+def test_kernel_table_arrays_are_read_only():
+    basis = mode_basis(segment(build_design("nbs", F0, 0.005), 7))
+    arrays = [a for pair in basis.pairs for a in pair[2:]] + [basis.w, basis.splits, basis.widths, basis.mode_edge]
+    assert len(basis.pairs) == 21 and len(arrays) == 3 * 21 + 4
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_mode_basis_rod_table():

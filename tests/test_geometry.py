@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,16 @@ NBS_POSITIONS_M = (0.0, 0.047, 0.097, 0.140, 0.232, 0.362)
 
 def test_wavelength_900rc():
     assert wavelength(900e6) == pytest.approx(2.998e8 / 900e6, rel=1e-15)
+
+
+@pytest.mark.parametrize("value", [True, False, "900e6", None, 900e6 + 0j])
+def test_check_frequency_rejects_a_bool_or_a_non_real(value):
+    with pytest.raises(DomainError, match=f"^frequency must be a real number of Hz, got {re.escape(repr(value))}$"):
+        geometry.check_frequency(value)
+
+
+def test_check_frequency_takes_numpy_scalars():
+    assert geometry.check_frequency(np.int64(900_000_000)) == geometry.check_frequency(np.float64(9e8)) == 9e8
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])

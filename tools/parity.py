@@ -1,0 +1,114 @@
+"""Dump the solver's outputs on a fixed case set, or compare two dumps bit for bit.
+
+The cases are 108 beams and one dipole:
+
+- the nbs, balanis and ycope designs for 900 MHz with 5 and 2 mm rods, at
+  3, 7, 11, 15, 21 and 41 segments per element, each solved at 850, 905 and
+  960 MHz;
+- a 51-segment half-wave dipole of radius 1e-4 wavelengths at 900 MHz.
+
+For each case a dump holds the moment matrix Z, the mode amplitudes, the
+solve residual, and the gain_dbi and magnitude grids of the far field at 1
+and 2 degrees. A case that raises a YagilabError holds its message instead.
+
+Run from the root of a checkout; the package is imported from that
+checkout's src/, so the same script can dump two versions of the code:
+
+    python tools/parity.py dump before.npz
+    python tools/parity.py compare before.npz after.npz
+
+compare checks every array with np.array_equal, prints each case and array
+that differ or exist in only one dump, and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from yagilab import em_solver  # noqa: E402
+from yagilab.errors import YagilabError  # noqa: E402
+from yagilab.geometry import SPEED_OF_LIGHT, build_design  # noqa: E402
+
+DESIGN_HZ = 900e6
+RULES = ("nbs", "balanis", "ycope")
+DIAMETERS_M = (0.005, 0.002)
+SEGMENTS = (3, 7, 11, 15, 21, 41)
+SOLVE_HZ = (850e6, 905e6, 960e6)
+RESOLUTIONS_DEG = (1.0, 2.0)
+
+
+def cases():
+    """(name, grid, frequency) of every case, beams first."""
+    for rule in RULES:
+        for diameter in DIAMETERS_M:
+            design = build_design(rule, DESIGN_HZ, diameter)
+            for segs in SEGMENTS:
+                grid = em_solver.segment(design, segs)
+                for f in SOLVE_HZ:
+                    yield f"{rule}-{diameter * 1e3:g}mm-{segs}-{f / 1e6:g}MHz", grid, f
+    lam = SPEED_OF_LIGHT / DESIGN_HZ
+    yield "dipole-51", em_solver.dipole_grid(0.5 * lam, 1e-4 * lam, 51), DESIGN_HZ
+
+
+def outputs(grid, frequency_hz: float) -> dict[str, np.ndarray]:
+    basis = em_solver.mode_basis(grid)
+    z = em_solver.impedance_matrix(basis, frequency_hz)
+    solution = em_solver.solve_currents(z, basis, frequency_hz)
+    out = {"Z": z, "amplitudes": solution.amplitudes, "residual": np.array(solution.residual)}
+    for resolution in RESOLUTIONS_DEG:
+        ff = em_solver.far_field(solution, resolution)
+        out[f"gain_dbi_{resolution:g}deg"] = ff.gain_dbi
+        out[f"magnitude_{resolution:g}deg"] = ff.magnitude
+    return out
+
+
+def dump(path: str) -> None:
+    arrays, n_cases = {}, 0
+    for name, grid, f in cases():
+        try:
+            found = outputs(grid, f)
+        except YagilabError as exc:
+            found = {"error": np.array(f"{type(exc).__name__}: {exc}")}
+        arrays.update({f"{name}:{key}": value for key, value in found.items()})
+        n_cases += 1
+    np.savez(path, **arrays)
+    print(f"{len(arrays)} arrays from {n_cases} cases written to {path}")
+
+
+def compare(before_path: str, after_path: str) -> int:
+    with np.load(before_path) as before, np.load(after_path) as after:
+        keys = sorted(set(before.files) | set(after.files))
+        differ = []
+        for key in keys:
+            if key not in before.files or key not in after.files:
+                differ.append(f"{key}: only in {before_path if key in before.files else after_path}")
+            elif not np.array_equal(before[key], after[key]):
+                differ.append(f"{key}: differs")
+    for line in differ:
+        print(line)
+    print(f"{len(keys) - len(differ)} of {len(keys)} arrays equal")
+    return 1 if differ else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("dump").add_argument("path")
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("before")
+    cmp.add_argument("after")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.path)
+        return 0
+    return compare(args.before, args.after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
