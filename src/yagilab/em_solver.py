@@ -23,9 +23,9 @@ against the spherical wave integrates to sine and cosine integrals of the
 segment's ends (the classical mutual impedance of sinusoidal dipoles), so
 an integral needs only one function of the signed offset of a segment end
 from an edge. mode_basis tabulates each element pair's distinct offsets
-once; a fill is one loop over element pairs p <= q that evaluates Si and Ci
-for all of them in one call (numpy only, yagilab.special) and writes one
-value to both mirror places of each entry pair, so it is exactly symmetric.
+once, indexed by (edge, edge) over all rods; a fill evaluates Si and Ci for
+all of them in one call (numpy only, yagilab.special) and builds the whole
+matrix in one pass, averaged with its transpose so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -57,13 +57,19 @@ _POWER_THETA_ORDER = 64
 _POWER_PHI_SAMPLES = 128
 # finest pattern grid, 0.05 degrees; a 3-segment simulate at it peaks at about 1.1 GiB
 _MAX_PHI_STEPS = 7200
-# most modes a basis may hold; a one-rod solve at it peaks at about 1 GiB
+# most modes a basis may hold; a solve at it peaks at about 0.6 GiB
 _MAX_MODES = 2250
 
 
 @functools.cache
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
+
+
+def _ring_quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes 2 sin(phi/2) and weights of the same-wire kernel's (1/pi) * integral over (0, pi) dphi."""
+    nodes, weights = _gauss(_RING_QUAD_ORDER)  # phi = (pi/2)(node + 1), so a (1/pi) * (pi/2) Jacobian
+    return 2.0 * np.sin(0.25 * math.pi * (nodes + 1.0)), 0.5 * weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +154,10 @@ class ModeBasis:
     edges: tuple[np.ndarray, ...]  # per rod, the z of its split segment ends
     feed_mode: int  # mode sitting on the feed gap
     feed_length_m: float  # length of the (unsplit) feed segment
-    pairs: tuple[tuple[int, int, np.ndarray, np.ndarray, np.ndarray], ...]  # (p, q, offsets, at, rho weights)
-    w: np.ndarray  # kernel distances w(u, rho) of every element pair, concatenated
-    splits: np.ndarray  # where each pair's w values end, but the last
-    widths: np.ndarray  # per edge of the rods in order, the width of the segment above it (0 at a rod's top)
+    at: np.ndarray  # (e, e) over all rods' edges in order: the W table row of edge b's offset from edge a
+    w: np.ndarray  # kernel distances w(u, rho): the ring nodes of every W row of a same-wire pair, then the rest
+    n_ring: int  # how many values of w are ring nodes
+    widths: np.ndarray  # per edge, the width of the segment above it (0 at a rod's top)
     mode_edge: np.ndarray  # per mode, its lower edge in that order
 
     @property
@@ -251,7 +257,7 @@ class FarField:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    frequency_hz: float
+    frequency_hz: float  # as given on a point tagged with an error
     impedance: ImpedanceResult | None
     peak_gain_dbi: float | None
     error: str | None
@@ -266,6 +272,9 @@ def _check_segment_count(segs_per_element: int) -> int:
         raise DomainError(
             f"segment count must be odd so the feed gap is centered, got {segs_per_element}"
         )
+    if segs_per_element > _MAX_MODES:  # the driven rod alone would hold that many modes
+        msg = f"segment count {segs_per_element} is more than the {_MAX_MODES} modes a solve allows; use fewer segments"
+        raise DiscretizationError(msg)
     return int(segs_per_element)
 
 
@@ -295,7 +304,7 @@ def _build_grid(rows: list[tuple[float, float, float, float, int]], segs: int, f
 def segment(design: YagiDesign, segs_per_element: int = DEFAULT_SEGMENTS_PER_ELEMENT) -> WireGrid:
     """Subdivide every element into the same odd number of uniform segments.
 
-    Raises DomainError unless exactly one element is driven.
+    Raises DomainError unless exactly one element is driven, DiscretizationError past _MAX_MODES segments.
     """
     segs = _check_segment_count(segs_per_element)
     driven = [i for i, e in enumerate(design.elements) if e.role is ElementRole.DRIVEN]
@@ -310,7 +319,7 @@ def segment(design: YagiDesign, segs_per_element: int = DEFAULT_SEGMENTS_PER_ELE
 
 
 def dipole_grid(length_m: float, radius_m: float, segments: int) -> WireGrid:
-    """Single center-fed straight wire on the z axis."""
+    """Single center-fed straight wire on the z axis; at most _MAX_MODES segments."""
     segs = _check_segment_count(segments)
     return _build_grid([(0.0, 0.0, length_m, radius_m, 0)], segs, 0)
 
@@ -361,40 +370,40 @@ def _pair_kernel(offsets: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.n
 def _kernel_table(grid: WireGrid, edges: list[np.ndarray]) -> dict:
     """The kernel table fields of the ModeBasis of a grid whose rods have these split segment ends.
 
-    Element pair p <= q takes the offsets of q's edges from p's, snapped to
+    Element pair p <= q takes the offsets u of q's edges from p's, snapped to
     p's lattice (its span over a whole number of its narrowest segments) when
     all lie on it to roundoff, and as distance nodes the ring nodes of p's
-    radius when p == q, the wires' axis distance otherwise.
+    radius when p == q, the wires' axis distance otherwise. Block (p, q) of at
+    holds its W rows of u, block (q, p) those of -u, transposed; ring rows first.
     """
-    # ring quadrature for the azimuthally averaged same-wire kernel:
-    # (1/pi) * integral over (0, pi) of f(2 a sin(phi/2)) dphi
-    ring_nodes, ring_w = _gauss(_RING_QUAD_ORDER)
-    ring = 2.0 * np.sin(0.25 * math.pi * (ring_nodes + 1.0))  # 2 sin(phi/2) at phi = (pi/2)(node + 1)
-    ring_weights, axis_weight = 0.5 * ring_w, np.ones(1)  # folded (1/pi) * (pi/2) Jacobian
-    pairs, w = [], []
+    ring, _ = _ring_quadrature()
+    n = len(edges)
+    first = np.cumsum([0] + [e.size for e in edges])  # each rod's first edge
+    at = np.empty((first[-1], first[-1]), dtype=np.intp)
+    w, rows = [], 0
     # rods too far apart for a finite distance give NaN here; a fill refuses them first
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, e in enumerate(edges):
+        for p, q in [(p, p) for p in range(n)] + [(p, q) for p in range(n) for q in range(p + 1, n)]:
+            e = edges[p]
             span = e[-1] - e[0]
             step = span / np.rint(span / np.min(np.diff(e)))
-            for q in range(p, len(edges)):
-                offsets = edges[q] - e[:, None]
-                snapped = np.rint(offsets / step) * step
-                if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
-                    offsets = snapped
-                if q == p:
-                    rho, rho_weights = grid.radius[p] * ring, ring_weights
-                else:
-                    rho, rho_weights = np.hypot(grid.x[q] - grid.x[p], grid.y[q] - grid.y[p])[None], axis_weight
-                pair_w, at = _pair_kernel(offsets, rho)
-                pairs.append((p, q, offsets, at, rho_weights))
-                w.append(pair_w)
-    w, splits = np.concatenate(w), np.cumsum([pair_w.size for pair_w in w])[:-1]
+            offsets = edges[q] - e[:, None]
+            snapped = np.rint(offsets / step) * step
+            if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
+                offsets = snapped
+            rho = grid.radius[p] * ring if q == p else np.hypot(grid.x[q] - grid.x[p], grid.y[q] - grid.y[p])[None]
+            pair_w, (pos, neg) = _pair_kernel(offsets, rho)
+            at[first[p] : first[p + 1], first[q] : first[q + 1]] = rows + pos
+            at[first[q] : first[q + 1], first[p] : first[p + 1]] = rows + neg.T
+            rows += pair_w.size // rho.size
+            w.append(pair_w)
+    n_ring = sum(pair_w.size for pair_w in w[:n])
+    w = np.concatenate(w)
     widths = np.concatenate([np.append(np.diff(e), 0.0) for e in edges])  # 0 at each rod's top edge
     mode_edge = np.flatnonzero(np.concatenate([np.arange(e.size) < e.size - 2 for e in edges]))
-    for a in (w, splits, widths, mode_edge, *(a for pair in pairs for a in pair[2:])):
+    for a in (at, w, widths, mode_edge):
         a.flags.writeable = False
-    return dict(pairs=tuple(pairs), w=w, splits=splits, widths=widths, mode_edge=mode_edge)
+    return dict(at=at, w=w, n_ring=n_ring, widths=widths, mode_edge=mode_edge)
 
 
 def _sin_widths(k: float, widths: np.ndarray) -> np.ndarray:
@@ -407,8 +416,8 @@ def _sin_widths(k: float, widths: np.ndarray) -> np.ndarray:
     return np.sin(k * widths)
 
 
-def _wave_center_weights(k: float, basis: ModeBasis) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per mode, sin(k w) of its lower and upper segment, and its three wave-center weights.
+def _wave_center_weights(k: float, basis: ModeBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per mode, its three wave-center weights.
 
     The weights of a mode's lower edge, peak and upper edge are 1/sin(k w_lo),
     -(cot(k w_lo) + cot(k w_hi)) and 1/sin(k w_hi), w_lo and w_hi its segment
@@ -417,7 +426,7 @@ def _wave_center_weights(k: float, basis: ModeBasis) -> tuple[tuple[np.ndarray, 
     lo, sin_w, cos_w = basis.mode_edge, _sin_widths(k, basis.widths), np.cos(k * basis.widths)
     sin_lo, sin_hi = sin_w[lo], sin_w[lo + 1]
     mid = -(cos_w[lo] / sin_lo + cos_w[lo + 1] / sin_hi)
-    return (sin_lo, sin_hi), (1.0 / sin_lo, mid, 1.0 / sin_hi)
+    return 1.0 / sin_lo, mid, 1.0 / sin_hi
 
 
 def _cis(angle: np.ndarray) -> np.ndarray:
@@ -439,30 +448,24 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     reciprocal feed segment length so the matching excitation vector of a
     1 V gap is zero except for 1/feed_length at the feed mode.
 
-    Entries are wave-center segment integrals (see the module docstring). With u the offset of a point of q from an edge
-    of p, R = hypot(u, rho) and w(u) = R - u, du/R = -dw/w, so a sinusoid
+    Entries are wave-center segment integrals (see the module docstring). With u the offset of a point of a segment
+    from an edge, R = hypot(u, rho) and w(u) = R - u, du/R = -dw/w, so a sinusoid
     against e^{-jkR}/R integrates to F(x) = Ci(x) - j Si(x) at x = k w of
-    the segment's ends; R + u is w(-u). Each element pair p <= q tabulates
-    W(u) = sum over the distance nodes rho of weight * F(k w(u, rho)) once
-    per distinct offset in U and -U, the offsets of q's edges from p's: the
-    basis's kernel table holds those offsets and w values, so a fill
-    computes only k w, one Si/Ci call for every pair's arguments, and the
-    phases. The phases e^{-jku} do not depend on rho, so for a segment
-    [lo, hi] of q
+    the segment's ends; R + u is w(-u). A fill evaluates F once per value of
+    basis.w and sums each offset's distance nodes rho into W(u); gathered
+    through basis.at, W(u) at [a, b] is that of edge b's offset from edge a,
+    and W(-u) is its transpose. The phases e^{-jku} do not depend on rho, so for a segment [lo, hi]
         2j rise = e^{-jk lo} (W(lo) - W(hi)) - e^{jk lo} (W(-hi) - W(-lo)),
         2j fall = e^{jk hi} (W(-hi) - W(-lo)) - e^{-jk hi} (W(lo) - W(hi)).
 
-    A wire-to-wire block is written to both of its places, and a same-wire
-    block is averaged with its transpose, since modes of unequal widths
-    whose supports meet give the two orders values up to ~1e-11 apart. The
-    result is exactly symmetric.
+    The matrix is averaged with its transpose, since modes of unequal widths
+    whose supports meet give the two orders values up to ~1e-11 apart, so it
+    is exactly symmetric.
     """
     f = check_frequency(frequency_hz)
     k = 2.0 * math.pi * f / SPEED_OF_LIGHT
     _check_array_extent(k, basis, f)
-    m = basis.n_modes
-    z = np.empty((m, m), dtype=complex)
-    (sin_lo, sin_hi), (c_lo, c_mid, c_hi) = _wave_center_weights(k, basis)
+    c_lo, c_mid, c_hi = _wave_center_weights(k, basis)
     x = k * basis.w
     if not np.min(x) > 0.0:  # k w underflows only for a wire thinner than about 1e-160 m
         raise GeometryError(
@@ -470,28 +473,24 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
             f" at {f / 1e6:g} MHz"
         )
     si, ci = sici(x)
-    groups = basis.groups
-    for (p, q, offsets, at, rho_weights), pair_values in zip(basis.pairs, np.split(ci - 1j * si, basis.splits)):
-        w_table = pair_values.reshape(-1, rho_weights.size) @ rho_weights
-        w_pos, w_neg = w_table[at]  # W(u), W(-u)
-        down = w_pos[:, :-1] - w_pos[:, 1:]  # W(lo) - W(hi)
-        up = w_neg[:, 1:] - w_neg[:, :-1]  # W(-hi) - W(-lo)
-        phase = _cis(-k * offsets)  # e^{-jku}
-        rise = phase[:, :-1] * down - phase[:, :-1].conj() * up
-        fall = phase[:, 1:].conj() * up - phase[:, 1:] * down
-        # each observation mode of q rises over one segment and falls over
-        # the next; each source mode of p weights three consecutive edges
-        (a, b), (c, d) = groups[p], groups[q]
-        h = rise[:, :-1] / sin_lo[c:d] + fall[:, 1:] / sin_hi[c:d]
-        pair_block = c_lo[a:b, None] * h[:-2] + c_mid[a:b, None] * h[1:-1] + c_hi[a:b, None] * h[2:]
-        if q == p:
-            z[a:b, a:b] = 0.5 * (pair_block + pair_block.T)
-        else:
-            z[a:b, c:d] = pair_block
-            z[c:d, a:b] = pair_block.T
-    # rise and fall above are 2j times the integrals
-    z *= ETA_0 / (8.0 * math.pi * basis.feed_length_m)
-    return z
+    values, n_ring = ci - 1j * si, basis.n_ring
+    table = np.concatenate([values[:n_ring].reshape(-1, _RING_QUAD_ORDER) @ _ring_quadrature()[1], values[n_ring:]])
+    w_pos = table[basis.at]  # W(u)
+    down = w_pos[:, :-1] - w_pos[:, 1:]  # W(lo) - W(hi)
+    up = w_pos.T[:, 1:] - w_pos.T[:, :-1]  # W(-hi) - W(-lo)
+    del w_pos  # each (e, e) array goes once used, keeping the peak near the Si/Ci call's
+    edge_phase = _cis(-k * np.concatenate(basis.edges))
+    phase = np.outer(edge_phase.conj(), edge_phase)  # e^{-jku}
+    rise = phase[:, :-1] * down - phase[:, :-1].conj() * up
+    fall = phase[:, 1:].conj() * up - phase[:, 1:] * down
+    del down, up, phase
+    # each observation mode rises over the segment above its lower edge and falls over
+    # the next, each over its sin(k w); each source mode weights three consecutive edges
+    lo = basis.mode_edge
+    h = rise[:, lo] * c_lo + fall[:, lo + 1] * c_hi
+    del rise, fall
+    z = c_lo[:, None] * h[lo] + c_mid[:, None] * h[lo + 1] + c_hi[:, None] * h[lo + 2]
+    return (z + z.T) * (ETA_0 / (16.0 * math.pi * basis.feed_length_m))  # rise and fall are 2j times the integrals
 
 
 def _check_wire_spacing(rods: WireGrid | ModeBasis) -> None:
@@ -613,7 +612,7 @@ def _axial_transforms(
     The W_j of all rods are scattered onto their edges in one pass, through
     the basis's mode_edge index.
     """
-    _, (c_lo, c_mid, c_hi) = _wave_center_weights(k, basis)
+    c_lo, c_mid, c_hi = _wave_center_weights(k, basis)
     lo, weights = basis.mode_edge, np.zeros(basis.widths.size, dtype=complex)
     weights[lo] = amplitudes * c_lo  # mode n weights edges lo[n], lo[n] + 1 and lo[n] + 2
     weights[lo + 1] += amplitudes * c_mid
@@ -756,14 +755,14 @@ def frequency_sweep(grid: WireGrid, frequencies_hz: Iterable[float], resolution_
         _check_resolution(resolution_deg)
         basis = mode_basis(grid)
     except DomainError as exc:
-        return [SweepPoint(float(f), None, None, str(exc)) for f in frequencies_hz]
+        return [SweepPoint(f, None, None, str(exc)) for f in frequencies_hz]
     points: list[SweepPoint] = []
     for f in frequencies_hz:
         try:
             sol = solve_currents(impedance_matrix(basis, f), basis, f)
             imp = input_impedance(sol)
             ff = far_field(sol, resolution_deg)
-            points.append(SweepPoint(float(f), imp, ff.peak_gain_dbi(), None))
+            points.append(SweepPoint(sol.frequency_hz, imp, ff.peak_gain_dbi(), None))
         except (DomainError, SolverError) as exc:
-            points.append(SweepPoint(float(f), None, None, str(exc)))
+            points.append(SweepPoint(f, None, None, str(exc)))
     return points

@@ -529,11 +529,11 @@ def test_simulate_solves_a_far_but_finite_rod(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])
 def test_simulate_refuses_more_modes_than_a_solve_may_hold(tmp_path, capsys, flags):
-    """A thin-rod design at 100001 segments per element fails with its mode count, not a memory error."""
+    """A thin-rod design at 1001 segments per element fails with its mode count, not a memory error."""
     design, out = tmp_path / "d.json", tmp_path / "s.json"
     assert cli.run(["design", "--diameter-mm", "0.001", "--out", str(design), "--quiet"]) == 0
-    rc = cli.run(["simulate", "--design", str(design), "--segments", "100001", "--out", str(out), "--quiet", *flags])
-    message = "grid has 600001 modes, more than the 2250 a solve allows; use fewer segments"
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "1001", "--out", str(out), "--quiet", *flags])
+    message = "grid has 6001 modes, more than the 2250 a solve allows; use fewer segments"
     if flags:
         assert rc == 0 and capsys.readouterr().err == ""
         assert [p["error"] for p in json.loads(out.read_text())["sweep"]] == [message] * 3
@@ -541,6 +541,17 @@ def test_simulate_refuses_more_modes_than_a_solve_may_hold(tmp_path, capsys, fla
         assert rc == 1
         _assert_one_error_line(capsys, message)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])
+def test_simulate_refuses_more_segments_than_a_solve_may_hold(tmp_path, capsys, flags):
+    """More segments per element than the mode cap exit 1 before any rod is built, as an even count does."""
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--diameter-mm", "0.001", "--out", str(design), "--quiet"]) == 0
+    rc = cli.run(["simulate", "--design", str(design), "--segments", "2251", "--out", str(out), "--quiet", *flags])
+    assert rc == 1
+    _assert_one_error_line(capsys, "segment count 2251 is more than the 2250 modes a solve allows; use fewer segments")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])

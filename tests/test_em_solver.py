@@ -240,13 +240,44 @@ def test_mode_count_past_the_cap_is_refused_before_any_table(monkeypatch):
     """A grid of more than _MAX_MODES modes raises DiscretizationError; a sweep tags every point with it."""
     calls = _spy_pair_kernel(monkeypatch)
     cap = em_solver._MAX_MODES
-    grid = dipole_grid(0.5 * LAM, 1e-6 * LAM, cap + 1 if cap % 2 == 0 else cap + 2)
+    # dipole_grid refuses this segment count itself, so the rod is built past it
+    grid = _build_grid([(0.0, 0.0, 0.5 * LAM, 1e-6 * LAM, 0)], cap + 1 if cap % 2 == 0 else cap + 2, 0)
     message = f"grid has {grid.n_segments} modes, more than the {cap} a solve allows; use fewer segments"
     with pytest.raises(DiscretizationError, match=f"^{re.escape(message)}$"):
         mode_basis(grid)
     points = frequency_sweep(grid, BAND_HZ)
     assert [p.error for p in points] == [message] * 3
     assert calls == []
+
+
+def test_segment_count_past_the_mode_cap_is_refused_before_any_rod_is_built(monkeypatch):
+    """More segments per element than _MAX_MODES can never solve: the driven rod alone holds that many modes."""
+    cap = em_solver._MAX_MODES
+    segs = cap + 1 if cap % 2 == 0 else cap + 2
+    built = []
+    monkeypatch.setattr(em_solver, "_build_grid", lambda *args: built.append(args))
+    message = f"segment count {segs} is more than the {cap} modes a solve allows; use fewer segments"
+    with pytest.raises(DiscretizationError, match=f"^{re.escape(message)}$"):
+        dipole_grid(0.5 * LAM, 1e-6 * LAM, segs)
+    with pytest.raises(DiscretizationError, match=f"^{re.escape(message)}$"):
+        segment(build_design("nbs", F0, 0.005), segs)
+    assert built == []
+    dipole_grid(0.5 * LAM, 1e-6 * LAM, segs - 2)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("bad", ["abc", None, 1 + 1j, True])
+def test_sweep_tags_a_frequency_that_is_not_a_real_number(bad):
+    """A tagged point keeps its frequency as given, from its own fill or a sweep-wide error; a solved one a float."""
+    grid = segment(build_design("nbs", F0, 0.005), 3)
+    for res, message in [
+        (10.0, f"frequency must be a real number of Hz, got {bad!r}"),
+        (math.inf, "resolution must be positive and finite, got inf"),
+    ]:
+        points = frequency_sweep(grid, [bad, 905e6], resolution_deg=res)
+        assert points[0].frequency_hz is bad and points[0].error == message
+    solved = frequency_sweep(grid, [bad, np.float64(905e6)], resolution_deg=10.0)[1]
+    assert solved.error is None and type(solved.frequency_hz) is float and solved.frequency_hz == 905e6
 
 
 def test_sweep_accepts_any_sequence_of_frequencies():
@@ -697,11 +728,36 @@ def test_fills_of_one_basis_equal_fills_of_fresh_bases():
 
 def test_kernel_table_arrays_are_read_only():
     basis = mode_basis(segment(build_design("nbs", F0, 0.005), 7))
-    arrays = [a for pair in basis.pairs for a in pair[2:]] + [basis.w, basis.splits, basis.widths, basis.mode_edge]
-    assert len(basis.pairs) == 21 and len(arrays) == 3 * 21 + 4
-    for a in arrays:
+    e = sum(z.size for z in basis.edges)
+    assert basis.at.shape == (e, e) and basis.widths.shape == (e,)
+    for a in (basis.at, basis.w, basis.widths, basis.mode_edge):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def test_permuted_rods_permute_the_moment_matrix():
+    """Reordering a beam's rods (and its feed index with them) reorders Z's modes and nothing else.
+
+    Every rod's edges land at the right place of the basis's one edge table
+    only if each element pair's block is written at its rods' global edge
+    numbers; a wrong offset would mix two rods' interactions.
+    """
+    grid = segment(build_design("nbs", F0, 0.005), 7)
+    order = [3, 0, 5, 1, 4, 2]
+    permuted = WireGrid(
+        x=grid.x[order],
+        y=grid.y[order],
+        radius=grid.radius[order],
+        edges=tuple(grid.edges[r] for r in order),
+        feed_element=order.index(grid.feed_element),
+    )
+    basis, basis_p = mode_basis(grid), mode_basis(permuted)
+    modes = np.concatenate([np.arange(*basis.groups[r]) for r in order])
+    z, z_p = impedance_matrix(basis, F0), impedance_matrix(basis_p, F0)
+    assert np.max(np.abs(z_p - z[np.ix_(modes, modes)])) <= 1e-14 * np.max(np.abs(z))
+    z_in = input_impedance(solve_currents(z, basis, F0)).z
+    z_in_p = input_impedance(solve_currents(z_p, basis_p, F0)).z
+    assert abs(z_in_p - z_in) <= 1e-12 * abs(z_in)
 
 
 def test_mode_basis_rod_table():

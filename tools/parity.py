@@ -18,12 +18,17 @@ checkout's src/, so the same script can dump two versions of the code:
     python tools/parity.py compare before.npz after.npz
 
 compare checks every array with np.array_equal, prints each case and array
-that differ or exist in only one dump, and exits 1 if any does.
+that differ or exist in only one dump, and exits 1 if any does. It then
+prints, per array name, the largest difference over the cases both dumps
+hold: for gain_dbi in dB, over the samples above GAIN_FLOOR_DBI in both;
+for the residual, itself relative, as is; for every other array relative
+to its largest entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -84,16 +89,36 @@ def dump(path: str) -> None:
 def compare(before_path: str, after_path: str) -> int:
     with np.load(before_path) as before, np.load(after_path) as after:
         keys = sorted(set(before.files) | set(after.files))
-        differ = []
+        differ, largest = [], {}
         for key in keys:
             if key not in before.files or key not in after.files:
                 differ.append(f"{key}: only in {before_path if key in before.files else after_path}")
-            elif not np.array_equal(before[key], after[key]):
+                continue
+            a, b = before[key], after[key]
+            if not np.array_equal(a, b):
                 differ.append(f"{key}: differs")
+            name = key.rsplit(":", 1)[1]
+            if a.dtype.kind in "fc" and a.shape == b.shape:
+                largest[name] = max(largest.get(name, 0.0), _difference(name, a, b))
     for line in differ:
         print(line)
     print(f"{len(keys) - len(differ)} of {len(keys)} arrays equal")
+    for name, difference in sorted(largest.items()):
+        unit = " dB" if name.startswith("gain_dbi") else "" if name == "residual" else " of the largest entry"
+        print(f"largest {name} difference: {difference:.3g}{unit}")
     return 1 if differ else 0
+
+
+def _difference(name: str, before: np.ndarray, after: np.ndarray) -> float:
+    """Largest |after - before|: in dB above the floor for a gain grid, as is for the residual, else relative."""
+    if name.startswith("gain_dbi"):
+        above = (before > em_solver.GAIN_FLOOR_DBI) & (after > em_solver.GAIN_FLOOR_DBI)
+        return float(np.max(np.abs(after - before)[above], initial=0.0))
+    difference = float(np.max(np.abs(after - before), initial=0.0))
+    if name == "residual" or not difference:  # a residual is already relative to the excitation
+        return difference
+    scale = float(np.max(np.abs(before)))
+    return difference / scale if scale else math.inf
 
 
 def main(argv: list[str] | None = None) -> int:
