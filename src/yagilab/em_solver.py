@@ -22,10 +22,10 @@ serves all the mode pairs that use it. The integrals are exact: a sinusoid
 against the spherical wave integrates to sine and cosine integrals of the
 segment's ends (the classical mutual impedance of sinusoidal dipoles), so
 an integral needs only one function of the signed offset of a segment end
-from an edge. mode_basis tabulates each element pair's distinct offsets
-once, indexed by (edge, edge) over all rods; a fill evaluates Si and Ci for
-all of them in one call (numpy only, yagilab.special) and builds the whole
-matrix in one pass, averaged with its transpose so it is exactly symmetric.
+from an edge. mode_basis numbers each element pair's distinct offsets in one
+pass over all rods' (edge, edge) pairs; a fill evaluates Si and Ci for all of
+them in one call (numpy only, yagilab.special) and builds the whole matrix in
+one pass, averaged with its transpose so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ _POWER_PHI_SAMPLES = 128
 _MAX_PHI_STEPS = 7200
 # most modes a basis may hold; a solve at it peaks at about 0.6 GiB
 _MAX_MODES = 2250
+# most segment ends (modes + 2 per rod) a basis may hold, for its and a fill's (e, e) arrays: past 25 rods
+_MAX_EDGES = 2300
 
 
 @functools.cache
@@ -330,7 +332,7 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
     The basis keeps the grid's rods, their numbering and their x, y and
     radius arrays, and tabulates what its fills and far fields need of the
     geometry. Raises GeometryError for a grid that fails validate() and for
-    coincident or overlapping rods, DiscretizationError past _MAX_MODES modes.
+    coincident or overlapping rods, DiscretizationError past _MAX_MODES modes or _MAX_EDGES segment ends.
     """
     violations = grid.validate()
     if violations:
@@ -338,6 +340,10 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
     m = grid.n_segments - len(grid.edges) + 1  # a mode per junction, one more for the split
     if m > _MAX_MODES:
         raise DiscretizationError(f"grid has {m} modes, more than the {_MAX_MODES} a solve allows; use fewer segments")
+    ends = m + 2 * len(grid.edges)  # those of the split segments
+    if ends > _MAX_EDGES:
+        msg = f"grid has {ends} segment ends, more than the {_MAX_EDGES} a solve allows; use fewer rods or segments"
+        raise DiscretizationError(msg)
     _check_wire_spacing(grid)
     edges, feed = [np.asarray(z, dtype=float) for z in grid.edges], grid.feed_element
     z = edges[feed]
@@ -354,56 +360,52 @@ def mode_basis(grid: WireGrid) -> ModeBasis:
     )
 
 
-def _pair_kernel(offsets: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One element pair's kernel distances w(u, rho), once per distinct offset in U and -U.
-
-    Returns w of the distinct offsets by distance nodes, flattened, and the
-    index of W(u) and of W(-u) for every offset u of the pair. For u > 0,
-    w = rho * (rho / (R + u)), so nothing cancels and rho^2 is never formed.
-    """
-    keys, at = np.unique(np.concatenate([offsets, -offsets]), return_inverse=True)
-    u = np.abs(keys)[:, None]
-    r_plus = np.hypot(u, rho) + u  # w(-|u|)
-    return np.where(keys[:, None] > 0, rho * (rho / r_plus), r_plus).ravel(), at.reshape(2, *offsets.shape)
-
-
 def _kernel_table(grid: WireGrid, edges: list[np.ndarray]) -> dict:
     """The kernel table fields of the ModeBasis of a grid whose rods have these split segment ends.
 
-    Element pair p <= q takes the offsets u of q's edges from p's, snapped to
-    p's lattice (its span over a whole number of its narrowest segments) when
-    all lie on it to roundoff, and as distance nodes the ring nodes of p's
-    radius when p == q, the wires' axis distance otherwise. Block (p, q) of at
-    holds its W rows of u, block (q, p) those of -u, transposed; ring rows first.
+    Edge pair (a, b) takes the offset u of edge b from edge a, snapped to the lattice of p (its span
+    over a whole number of its narrowest segments), p <= q the rods of the edge pair's element pair,
+    when all that element pair's offsets lie on it to roundoff. Ranking u and sorting (pair, rank) gives
+    the W rows: same-wire pairs, then p < q in row order, each in increasing u; a row's distance nodes
+    are the ring nodes of p's radius when p == q, the wires' axis distance otherwise.
     """
     ring, _ = _ring_quadrature()
-    n = len(edges)
-    first = np.cumsum([0] + [e.size for e in edges])  # each rod's first edge
-    at = np.empty((first[-1], first[-1]), dtype=np.intp)
-    w, rows = [], 0
+    n, sizes = len(edges), [e.size for e in edges]
+    rod = np.repeat(np.arange(n), sizes)
+    expand = np.ix_(rod, rod)  # indexes an (n, n) array of element pairs into an (e, e) one of edge pairs
+    first = np.cumsum([0] + sizes[:-1])  # each rod's first edge
+    steps = np.array([(e[-1] - e[0]) / np.rint((e[-1] - e[0]) / np.min(np.diff(e))) for e in edges])
+    tolerances = 16.0 * np.finfo(float).eps * np.array([np.max(np.abs(e)) for e in edges])
+    p, q = np.sort(np.indices((n, n)), axis=0)  # each element pair's lower and higher rod
+    z = np.concatenate(edges)
+    at = np.empty((z.size, z.size), dtype=np.intp)  # first, so freed (e, e) temporaries give memory back
     # rods too far apart for a finite distance give NaN here; a fill refuses them first
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, q in [(p, p) for p in range(n)] + [(p, q) for p in range(n) for q in range(p + 1, n)]:
-            e = edges[p]
-            span = e[-1] - e[0]
-            step = span / np.rint(span / np.min(np.diff(e)))
-            offsets = edges[q] - e[:, None]
-            snapped = np.rint(offsets / step) * step
-            if np.max(np.abs(snapped - offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(e)):
-                offsets = snapped
-            rho = grid.radius[p] * ring if q == p else np.hypot(grid.x[q] - grid.x[p], grid.y[q] - grid.y[p])[None]
-            pair_w, (pos, neg) = _pair_kernel(offsets, rho)
-            at[first[p] : first[p + 1], first[q] : first[q + 1]] = rows + pos
-            at[first[q] : first[q + 1], first[p] : first[p + 1]] = rows + neg.T
-            rows += pair_w.size // rho.size
-            w.append(pair_w)
-    n_ring = sum(pair_w.size for pair_w in w[:n])
-    w = np.concatenate(w)
+        u = z - z[:, None]
+        step = steps[p][expand]
+        snapped = np.rint(u / step) * step
+        worst = np.maximum.reduceat(np.maximum.reduceat(np.abs(snapped - u), first, axis=0), first, axis=1)
+        np.copyto(u, snapped, where=(worst <= tolerances[p])[expand])  # all or none of an element pair
+        del step, snapped  # each (e, e) array goes once used, keeping the peak below a fill's
+        values, rank = np.unique(u, return_inverse=True)
+        key = np.where(p == q, p, n + n * p + q)[expand] * values.size + rank.reshape(u.shape)  # (pair id, rank)
+        del u, rank
+        keys, inverse = np.unique(key, return_inverse=True)
+        at[...] = inverse.reshape(at.shape)
+        same = np.searchsorted(keys, n * values.size)  # the rows of same-wire pairs, which come first
+        w = np.empty(same * ring.size + keys.size - same)  # ahead of the row arrays, so the heap shrinks as they go
+        pair, u = np.divmod(keys, values.size)
+        u = np.repeat(values[u], np.where(pair < n, ring.size, 1))  # each row's offset, once per distance node
+        # a pair id indexes the radii, then the (n, n) axis distances
+        rho = np.concatenate([grid.radius, np.hypot(grid.x - grid.x[:, None], grid.y - grid.y[:, None]).ravel()])[pair]
+        rho = np.concatenate([(rho[:same, None] * ring).ravel(), rho[same:]])  # each row's distance nodes
+        np.add(np.hypot(np.abs(u), rho), np.abs(u), out=w)  # R + |u|, which is w(-|u|)
+        np.multiply(rho, rho / w, out=w, where=u > 0)  # w(u) for u > 0: nothing cancels and rho^2 is never formed
     widths = np.concatenate([np.append(np.diff(e), 0.0) for e in edges])  # 0 at each rod's top edge
     mode_edge = np.flatnonzero(np.concatenate([np.arange(e.size) < e.size - 2 for e in edges]))
     for a in (at, w, widths, mode_edge):
         a.flags.writeable = False
-    return dict(at=at, w=w, n_ring=n_ring, widths=widths, mode_edge=mode_edge)
+    return dict(at=at, w=w, n_ring=same * ring.size, widths=widths, mode_edge=mode_edge)
 
 
 def _sin_widths(k: float, widths: np.ndarray) -> np.ndarray:
@@ -637,11 +639,11 @@ def _pattern_power(
     """|sin(theta) * AF|^2 on a (theta, phi) grid, elements factored per wire.
 
     cos_theta must be antisymmetric (row i mirrors row n - 1 - i about
-    theta = 90 degrees) and phi a uniform full circle starting at 0 or half
-    a step, as the sample grid and the power quadrature are. The radial
-    factor e^{jk sin(theta)(x cos(phi) + y sin(phi))} depends on theta only
-    through sin(theta), so it is evaluated on the first half of the rows and
-    serves their mirrors too. When every wire lies on y = 0 the pattern is
+    theta = 90 degrees) and phi a uniform full circle starting at 0, as the
+    sample grid and the power quadrature are. The radial factor
+    e^{jk sin(theta)(x cos(phi) + y sin(phi))} depends on theta only through
+    sin(theta), so it is evaluated on the first half of the rows and serves
+    their mirrors too. When every wire lies on y = 0 the pattern is
     even in phi: it is evaluated for phi in [0, 180] degrees and the other
     columns are copied from their mirrors, so mirrored samples are exactly
     equal. Any other layout evaluates every column.
@@ -650,8 +652,7 @@ def _pattern_power(
     t, j = np.arange(n_t), np.arange(n_p)
     # the evaluated row and column that each result row and column copies
     rows = np.minimum(t, t[::-1])
-    start = round(phi[0] * n_p / math.pi)  # phi[0] in half steps: 0 or 1
-    cols = j if np.any(basis.y) else np.minimum(j, (-start - j) % n_p)
+    cols = j if np.any(basis.y) else np.minimum(j, -j % n_p)
     sin_theta = np.sqrt(np.clip(1.0 - cos_theta[: rows.max() + 1] ** 2, 0.0, 1.0))
     phi = phi[: cols.max() + 1]
     offsets = basis.x[:, None] * np.cos(phi) + basis.y[:, None] * np.sin(phi)  # (w, p)
@@ -689,7 +690,7 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
 
     The gain normalization divides by radiated power computed with a
     Gauss-Legendre quadrature that is independent of the sample grid: 64
-    nodes in cos(theta) times 128 midpoint samples in phi. Both grids take
+    nodes in cos(theta) times 128 samples in phi from 0. Both grids take
     the per-rod radiation integrals (one _axial_transforms call for both),
     exact sums over the modes' wave centers with the nearer pole's phase
     subtracted, and then the array factor over the wire positions
@@ -711,12 +712,10 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     x_nodes, x_weights = _gauss(_POWER_THETA_ORDER)
     axial = _axial_transforms(k, basis, amplitudes, np.concatenate([cos_theta, x_nodes]))
     power = _pattern_power(k, basis, axial[:n_theta], cos_theta, np.radians(phi))
-    phi_q = (np.arange(_POWER_PHI_SAMPLES) + 0.5) * (2.0 * math.pi / _POWER_PHI_SAMPLES)
-    power_q = _pattern_power(k, basis, axial[n_theta:], x_nodes, phi_q)
+    d_phi = 2.0 * math.pi / _POWER_PHI_SAMPLES
+    power_q = _pattern_power(k, basis, axial[n_theta:], x_nodes, np.arange(_POWER_PHI_SAMPLES) * d_phi)
     u_const = k**2 * ETA_0 / (32.0 * math.pi**2)
-    p_rad = u_const * float(
-        (x_weights[:, None] * power_q).sum() * (2.0 * math.pi / _POWER_PHI_SAMPLES)
-    )
+    p_rad = u_const * float((x_weights[:, None] * power_q).sum() * d_phi)
     if not (p_rad > 0.0 and math.isfinite(p_rad)):
         raise SolverError("radiated power is zero; far field is undefined")
 

@@ -544,6 +544,28 @@ def test_simulate_refuses_more_modes_than_a_solve_may_hold(tmp_path, capsys, fla
 
 
 @pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])
+def test_simulate_refuses_more_segment_ends_than_a_solve_may_hold(tmp_path, capsys, flags):
+    """A 600-element design at 3 segments holds 1201 modes but 2401 segment ends: refused before any fill."""
+    design, out = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli.run(["design", "--out", str(design), "--quiet"]) == 0
+    data = json.loads(design.read_text())
+    last = data["elements"][-1]
+    extra = 600 - len(data["elements"])
+    data["elements"] += [dict(last, position_m=last["position_m"] + 0.01 * (i + 1)) for i in range(extra)]
+    design.write_text(json.dumps(data))
+    argv = ["simulate", "--design", str(design), "--segments", "3", "--resolution", "10", "--out", str(out)]
+    rc = cli.run([*argv, "--quiet", *flags])
+    message = "grid has 2401 segment ends, more than the 2300 a solve allows; use fewer rods or segments"
+    if flags:
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert [p["error"] for p in json.loads(out.read_text())["sweep"]] == [message] * 3
+    else:
+        assert rc == 1
+        _assert_one_error_line(capsys, message)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--sweep", "850:960:55"]], ids=["point", "sweep"])
 def test_simulate_refuses_more_segments_than_a_solve_may_hold(tmp_path, capsys, flags):
     """More segments per element than the mode cap exit 1 before any rod is built, as an even count does."""
     design, out = tmp_path / "d.json", tmp_path / "s.json"

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 
 import dense_fill
 import far_field_halves
+import pair_table
 from mode_columns import per_mode
 from oracles import HALF_WAVE_DIPOLE_GAIN_DBI, induced_emf_dipole_impedance
 from yagilab import em_solver
 from yagilab.em_solver import (
     WireGrid,
     _build_grid,
-    _pair_kernel,
     dipole_grid,
     far_field,
     frequency_sweep,
@@ -238,7 +239,7 @@ def test_sweep_tags_every_point_with_a_resolution_past_the_limit(monkeypatch, re
 
 def test_mode_count_past_the_cap_is_refused_before_any_table(monkeypatch):
     """A grid of more than _MAX_MODES modes raises DiscretizationError; a sweep tags every point with it."""
-    calls = _spy_pair_kernel(monkeypatch)
+    calls = _spy_kernel_table(monkeypatch)
     cap = em_solver._MAX_MODES
     # dipole_grid refuses this segment count itself, so the rod is built past it
     grid = _build_grid([(0.0, 0.0, 0.5 * LAM, 1e-6 * LAM, 0)], cap + 1 if cap % 2 == 0 else cap + 2, 0)
@@ -619,31 +620,45 @@ def test_built_elements_are_exactly_antisymmetric(rule, diameter_m, segs):
     assert per_mode(basis).z_peak[basis.feed_mode] == 0.0
 
 
-def test_element_shifted_along_its_axis_matches_dense_oracle():
-    """An off-centre element finds fewer repeated offsets but fills the same matrix."""
+def _shifted_element_grid():
+    """The 11-segment nbs beam with its fourth element moved 0.03 wavelengths up its axis."""
     base = segment(build_design("nbs", F0, 0.005), 11)
     edges = list(base.edges)
     edges[3] = edges[3] + 0.03 * LAM
-    grid = replace(base, edges=tuple(edges))
-    assert _oracle_defect(grid, F0) <= 1e-12
+    return replace(base, edges=tuple(edges))
 
 
-def _spy_pair_kernel(monkeypatch):
-    """Record (distance nodes, distinct offsets, offsets) of every element pair's kernel table."""
+def test_element_shifted_along_its_axis_matches_dense_oracle():
+    """An off-centre element finds fewer repeated offsets but fills the same matrix."""
+    assert _oracle_defect(_shifted_element_grid(), F0) <= 1e-12
+
+
+def _spy_kernel_table(monkeypatch):
+    """Record the grid of every kernel table mode_basis builds."""
     calls = []
+    build = em_solver._kernel_table
 
-    def spy(offsets, rho):
-        w, at = _pair_kernel(offsets, rho)
-        calls.append((rho.size, w.size // rho.size, offsets.size))
-        return w, at
+    def spy(grid, edges):
+        calls.append(grid)
+        return build(grid, edges)
 
-    monkeypatch.setattr(em_solver, "_pair_kernel", spy)
+    monkeypatch.setattr(em_solver, "_kernel_table", spy)
     return calls
 
 
+def _pair_blocks(basis):
+    """Each element pair p <= q, same-wire pairs first, with the table rows its two blocks of at hold."""
+    first = np.cumsum([0] + [z.size for z in basis.edges])
+    n = len(basis.edges)
+    for p, q in [(p, p) for p in range(n)] + [(p, q) for p in range(n) for q in range(p + 1, n)]:
+        pq = basis.at[first[p] : first[p + 1], first[q] : first[q + 1]]
+        qp = basis.at[first[q] : first[q + 1], first[p] : first[p + 1]]
+        yield p, q, np.unique(np.concatenate([pq.ravel(), qp.ravel()]))
+
+
 @pytest.mark.parametrize("segs", [3, 21, 41])
-def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
-    """A segmented beam's same-wire kernel tables snap to their lattice and deduplicate.
+def test_same_wire_fill_integrates_each_offset_once(segs):
+    """A segmented beam's same-wire kernel rows snap to their lattice and deduplicate.
 
     A uniform element of N segments has the 2N + 1 offsets between -N and N
     lattice steps, and the driven element, whose split feed segment halves
@@ -651,10 +666,8 @@ def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
     2(N+1)^2 offsets per element and only run slower, so the count itself is
     checked.
     """
-    calls = _spy_pair_kernel(monkeypatch)
     basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
-    impedance_matrix(basis, 905e6)  # reads the basis's table, tabulates nothing
-    sizes = [n_offsets for n_rho, n_offsets, _ in calls if n_rho > 1]  # the ring nodes: same-wire
+    sizes = [rows.size for p, q, rows in _pair_blocks(basis) if p == q]
     driven = [a <= basis.feed_mode < b for a, b in basis.groups]
     assert len(sizes) == len(driven) == 6
     for size, is_driven in zip(sizes, driven):
@@ -662,23 +675,25 @@ def test_same_wire_fill_integrates_each_offset_once(monkeypatch, segs):
 
 
 @pytest.mark.parametrize("segs", [3, 21, 41])
-def test_fill_makes_one_kernel_call_per_element_pair(monkeypatch, segs):
-    """mode_basis tabulates every element pair's kernel distances in one call.
+def test_each_element_pair_owns_one_run_of_table_rows(segs):
+    """The table's rows are the element pairs' runs in order: same-wire pairs first, then p < q.
 
     The beam is symmetric about z = 0, so the negated offsets of a
-    wire-to-wire block are offsets of that block too, and it tabulates no
+    wire-to-wire block are offsets of that block too, and its run holds no
     more distinct offsets than it has (edge, edge) pairs. Were the fold to
     miss, the fill would only run slower, so the count itself is checked.
     """
-    calls = _spy_pair_kernel(monkeypatch)
     basis = mode_basis(segment(build_design("nbs", F0, 0.005), segs))
-    impedance_matrix(basis, 905e6)  # reads the basis's table, tabulates nothing
-    n = len(basis.groups)
-    assert len(calls) == n * (n + 1) // 2 == 21
-    wire_to_wire = [(n_offsets, n_pairs) for n_rho, n_offsets, n_pairs in calls if n_rho == 1]
-    assert len(wire_to_wire) == n * (n - 1) // 2
-    for n_offsets, n_pairs in wire_to_wire:
-        assert n_offsets <= n_pairs
+    sizes, ring = [z.size for z in basis.edges], em_solver._RING_QUAD_ORDER
+    start = 0
+    for p, q, rows in _pair_blocks(basis):
+        assert np.array_equal(rows, np.arange(start, start + rows.size))  # one run, right after the last
+        start += rows.size
+        if p != q:
+            assert rows.size <= sizes[p] * sizes[q]
+        elif p == len(sizes) - 1:
+            assert start * ring == basis.n_ring  # the same-wire runs are the ring rows
+    assert basis.n_ring + start - basis.n_ring // ring == basis.w.size  # and every row is some pair's
 
 
 @pytest.mark.parametrize("segs", [3, 7, 21, 41])
@@ -711,11 +726,12 @@ def test_fill_makes_one_sici_call(monkeypatch, segs):
 
 
 def test_sweep_builds_each_pair_table_once(monkeypatch):
-    """A 3-point sweep tabulates the 21 element pairs' kernel distances once, not once per point."""
-    calls = _spy_pair_kernel(monkeypatch)
-    points = frequency_sweep(segment(build_design("nbs", F0, 0.005), 7), BAND_HZ, resolution_deg=10.0)
+    """A 3-point sweep tabulates the 21 element pairs' kernel distances in one table, not one per point."""
+    calls = _spy_kernel_table(monkeypatch)
+    grid = segment(build_design("nbs", F0, 0.005), 7)
+    points = frequency_sweep(grid, BAND_HZ, resolution_deg=10.0)
     assert all(p.error is None for p in points)
-    assert len(calls) == 21
+    assert calls == [grid]
 
 
 def test_fills_of_one_basis_equal_fills_of_fresh_bases():
@@ -783,16 +799,20 @@ def test_nearly_uniform_element_is_not_taken_as_toeplitz():
     shared across offsets that merely look equal would be off by about that
     much.
     """
+    grid = _nearly_uniform_grid()
+    assert grid.validate() == []
+    assert not np.allclose(np.diff(grid.edges[1]), 0.45 * LAM / 9, rtol=1e-12, atol=0)
+    assert _oracle_defect(grid, F0) <= 1e-12
+
+
+def _nearly_uniform_grid():
+    """Two 9-segment rods, the second's junctions displaced by 1e-10 of a segment."""
     segs = 9
     rows = [(0.0, 0.0, 0.5 * LAM, 1e-3 * LAM, 0), (0.2 * LAM, 0.0, 0.45 * LAM, 1e-3 * LAM, 1)]
     base = _build_grid(rows, segs, 0)
-    seg_len = 0.45 * LAM / segs
     shifted = base.edges[1].copy()
-    shifted[1:-1] += (-1) ** np.arange(1, segs) * 1e-10 * seg_len
-    grid = replace(base, edges=(base.edges[0], shifted))
-    assert grid.validate() == []
-    assert not np.allclose(np.diff(grid.edges[1]), seg_len, rtol=1e-12, atol=0)
-    assert _oracle_defect(grid, F0) <= 1e-12
+    shifted[1:-1] += (-1) ** np.arange(1, segs) * 1e-10 * (0.45 * LAM / segs)
+    return replace(base, edges=(base.edges[0], shifted))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -838,7 +858,7 @@ def test_radiated_power_balances_input_power_to_order_ka_squared(rule, radius, f
     k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
     nodes, weights = em_solver._gauss(em_solver._POWER_THETA_ORDER)
     n_phi = em_solver._POWER_PHI_SAMPLES
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     axial = em_solver._axial_transforms(k, sol.basis, sol.amplitudes, nodes)
     power = em_solver._pattern_power(k, sol.basis, axial, nodes, phi)
     p_rad = k**2 * em_solver.ETA_0 / (32.0 * math.pi**2) * np.sum(weights[:, None] * power) * (2.0 * math.pi / n_phi)
@@ -943,3 +963,120 @@ def test_sweep_of_a_hand_built_off_axis_grid_equals_single_point_solves():
         assert point.error is None
         assert point.impedance.z == input_impedance(sol).z
         assert point.peak_gain_dbi == far_field(sol, 6.0).peak_gain_dbi()
+
+
+def _assert_table_equals_per_pair_oracle(grid):
+    basis = mode_basis(grid)
+    want = pair_table.kernel_table(grid, list(basis.edges))
+    assert np.array_equal(basis.at, want["at"])
+    assert np.array_equal(basis.w, want["w"])
+    assert basis.n_ring == want["n_ring"]
+
+
+@pytest.mark.parametrize("segs", [3, 7, 21])
+@pytest.mark.parametrize("rule, diameter_m", BEAMS)
+def test_kernel_table_equals_per_pair_oracle_on_beam(rule, diameter_m, segs):
+    """One sort over all edge pairs gives the rows and indices the per-element-pair loop gave."""
+    _assert_table_equals_per_pair_oracle(segment(build_design(rule, F0, diameter_m), segs))
+
+
+TABLE_GRIDS = {
+    **{name: partial(_off_axis_grid, layout) for name, layout in OFF_AXIS_ARRAYS.items()},
+    "shifted-element": _shifted_element_grid,
+    "nearly-uniform": _nearly_uniform_grid,
+    "one-segment-rod": partial(_one_segment_parasite, 0.2 * LAM),
+    "dipole-51": partial(dipole_grid, 0.5 * LAM, 1e-4 * LAM, 51),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GRIDS)
+def test_kernel_table_equals_per_pair_oracle_on_custom_grid(name):
+    """Off-axis rods, rods that do not snap, a rod without modes and a single wire take the same code."""
+    _assert_table_equals_per_pair_oracle(TABLE_GRIDS[name]())
+
+
+@st.composite
+def custom_grids(draw):
+    """1 to 5 rods of 1 to 7 segments, each off y = 0 or not, shifted along its axis or not.
+
+    A rod's segments are 0.02 m long or of any length from 0.01 to 0.07 m,
+    so rods share a lattice or do not; the radii differ.
+    """
+    n = draw(st.integers(1, 5))
+    x, y, radius, edges = [], [], [], []
+    for i in range(n):
+        segs = draw(st.sampled_from([1, 3, 5, 7]))
+        length = segs * draw(st.one_of(st.just(0.02), st.floats(0.01, 0.07)))
+        z = np.linspace(-length / 2.0, length / 2.0, segs + 1)
+        edges.append(0.5 * (z - z[::-1]) + draw(st.one_of(st.just(0.0), st.just(0.01), st.floats(-0.1, 0.1))))
+        x.append(0.1 * i + draw(st.floats(0.0, 0.03)))
+        y.append(draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05))))
+        radius.append(draw(st.floats(1e-4, 4e-3)))
+    feed = draw(st.integers(0, n - 1))
+    return WireGrid(x=np.array(x), y=np.array(y), radius=np.array(radius), edges=tuple(edges), feed_element=feed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid=custom_grids())
+def test_kernel_table_equals_per_pair_oracle_on_random_grids(grid):
+    assert grid.validate() == []
+    _assert_table_equals_per_pair_oracle(grid)
+
+
+def _one_segment_rods(count):
+    """count rods of one 0.1 m segment each, 10 mm apart on the x axis; the first is fed."""
+    return WireGrid(
+        x=0.01 * np.arange(count),
+        y=np.zeros(count),
+        radius=np.full(count, 1e-4),
+        edges=(np.array([-0.05, 0.05]),) * count,
+        feed_element=0,
+    )
+
+
+def test_segment_ends_past_the_cap_are_refused_before_any_table(monkeypatch):
+    """A grid of more than _MAX_EDGES segment ends raises DiscretizationError; a sweep tags every point with it.
+
+    1150 rods of one segment hold one mode, but 2301 segment ends with the
+    feed split's. The ends are counted before the rods' spacing is checked,
+    so even coincident rods are refused for them.
+    """
+    calls = _spy_kernel_table(monkeypatch)
+    cap = em_solver._MAX_EDGES
+    grid = _one_segment_rods(cap // 2)
+    message = f"grid has {cap + 1} segment ends, more than the {cap} a solve allows; use fewer rods or segments"
+    for g in (grid, replace(grid, x=np.zeros(cap // 2))):
+        with pytest.raises(DiscretizationError, match=f"^{re.escape(message)}$"):
+            mode_basis(g)
+    points = frequency_sweep(grid, BAND_HZ)
+    assert [p.error for p in points] == [message] * 3
+    assert calls == []
+
+
+class _TableReached(Exception):
+    pass
+
+
+def _at_the_mode_cap_on_25_rods():
+    """24 rods of 91 segments and one of 89: 2249 modes and 2299 segment ends."""
+    edges = tuple(np.linspace(-0.25, 0.25, segs + 1) for segs in [91] * 24 + [89])
+    return WireGrid(x=0.05 * np.arange(25), y=np.zeros(25), radius=np.full(25, 1e-4), edges=edges, feed_element=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(_one_segment_rods, em_solver._MAX_EDGES // 2 - 1), _at_the_mode_cap_on_25_rods],
+    ids=["1149-one-segment-rods", "25-rods-at-the-mode-cap"],
+)
+def test_grid_under_the_segment_end_cap_reaches_the_table(monkeypatch, build):
+    """2299 segment ends pass the bound, and so does every grid of at most 25 rods under the mode cap.
+
+    The table is not built: the spy stops mode_basis where it would start.
+    """
+
+    def stop(grid, edges):
+        raise _TableReached(sum(z.size for z in edges))
+
+    monkeypatch.setattr(em_solver, "_kernel_table", stop)
+    with pytest.raises(_TableReached, match="^2299$"):
+        mode_basis(build())
