@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiscretizationError, DomainError, GeometryError, SolverError
 from .geometry import SPEED_OF_LIGHT, ElementRole, YagiDesign, check_frequency
@@ -55,7 +56,7 @@ _CONDITION_LIMIT = 1e12  # lower bound of cond_1(Z) above which a solve is refus
 # power-normalization quadrature (independent of the returned sample grid)
 _POWER_THETA_ORDER = 64
 _POWER_PHI_SAMPLES = 128
-# finest pattern grid, 0.05 degrees; a 3-segment simulate at it peaks at about 1.1 GiB
+# finest pattern grid, 0.05 degrees; a 3-segment simulate at it peaks at about 1.0 GiB
 _MAX_PHI_STEPS = 7200
 # most modes a basis may hold; a solve at it peaks at about 0.6 GiB
 _MAX_MODES = 2250
@@ -123,7 +124,7 @@ class WireGrid:
                 continue
             if lengths.size % 2 == 0:
                 v.append(f"element {e} has an even segment count {lengths.size}")
-            if not np.allclose(lengths, lengths[0], rtol=1e-9, atol=0):
+            if not np.all(np.abs(lengths - lengths[0]) <= 1e-9 * abs(lengths[0])):
                 v.append(f"element {e} segments are not uniform")
             # thin-wire validity: a segment shorter than its own radius leaves the
             # wire better modeled as a fat cylinder than a line current
@@ -477,6 +478,7 @@ def impedance_matrix(basis: ModeBasis, frequency_hz: float) -> np.ndarray:
     si, ci = sici(x)
     values, n_ring = ci - 1j * si, basis.n_ring
     table = np.concatenate([values[:n_ring].reshape(-1, _RING_QUAD_ORDER) @ _ring_quadrature()[1], values[n_ring:]])
+    del x, si, ci, values  # one or two floats per value of basis.w, dead before the (e, e) phase peaks
     w_pos = table[basis.at]  # W(u)
     down = w_pos[:, :-1] - w_pos[:, 1:]  # W(lo) - W(hi)
     up = w_pos.T[:, 1:] - w_pos.T[:, :-1]  # W(-hi) - W(-lo)
@@ -598,69 +600,112 @@ def input_impedance(solution: CurrentSolution) -> ImpedanceResult:
     return ImpedanceResult(z=complex(1.0 / i_feed), frequency_hz=solution.frequency_hz)
 
 
-def _axial_transforms(
-    k: float, basis: ModeBasis, amplitudes: np.ndarray, cos_theta: np.ndarray
-) -> np.ndarray:
-    """Radiation integrals of the current on each rod, shape (theta, rod), in closed form.
+def _edge_weights(k: float, basis: ModeBasis, amplitudes: np.ndarray) -> np.ndarray:
+    """Per edge of the basis, W_j: the sum of amplitude * wave-center weight over the modes that use it.
 
-    Each entry is integral of I(z) e^{j alpha z} dz over the rod, alpha = k cos(theta).
-    With W_j the sum of amplitude * wave-center weight over the modes that use edge j,
+    The weights of all rods are scattered onto their edges in one pass, through
+    the basis's mode_edge index: mode n weights edges lo[n], lo[n] + 1 and lo[n] + 2.
+    """
+    c_lo, c_mid, c_hi = _wave_center_weights(k, basis)
+    lo, weights = basis.mode_edge, np.zeros(basis.widths.size, dtype=complex)
+    weights[lo] = amplitudes * c_lo
+    weights[lo + 1] += amplitudes * c_mid
+    weights[lo + 2] += amplitudes * c_hi
+    return weights
+
+
+def _axial_transforms(k: float, basis: ModeBasis, weights: np.ndarray, cos_theta: np.ndarray) -> np.ndarray:
+    """Radiation integrals of the current on each rod at +-cos(theta), shape (theta, 2, rod), in closed form.
+
+    cos_theta holds the upper hemisphere, cos(theta) >= 0: [:, 0] is taken there and
+    [:, 1] at the mirrored direction -cos(theta). Each entry is integral of
+    I(z) e^{j alpha z} dz over the rod, alpha = k cos(theta). With W_j the edge weights,
         integral = sum_j W_j e^{j alpha z_j} / (k sin^2 theta), and 0 where sin(theta) = 0.
     A mode radiates nothing along the axis, so sum_j W_j e^{j s k z_j} = 0 for s = +-1.
     Each row subtracts it for the nearer pole s = sign(cos theta); with d = 1 - |cos theta|,
     exact for |cos theta| >= 1/2, nothing then cancels as sin(theta) -> 0:
         e^{j alpha z} - e^{j s k z} = -2j s sin(k d z / 2) e^{jk (cos theta + s) z / 2},
         k sin^2 theta = k d (1 + |cos theta|).
-    The W_j of all rods are scattered onto their edges in one pass, through
-    the basis's mode_edge index.
+    At -cos(theta), s and the scale change sign and the wave factor is the conjugate,
+    while sin(k d z / 2) is the same, for any current.
     """
-    c_lo, c_mid, c_hi = _wave_center_weights(k, basis)
-    lo, weights = basis.mode_edge, np.zeros(basis.widths.size, dtype=complex)
-    weights[lo] = amplitudes * c_lo  # mode n weights edges lo[n], lo[n] + 1 and lo[n] + 2
-    weights[lo + 1] += amplitudes * c_mid
-    weights[lo + 2] += amplitudes * c_hi
     half_kz = 0.5 * k * np.concatenate(basis.edges)
-    s = np.where(cos_theta < 0.0, -1.0, 1.0)
-    d = 1.0 - np.abs(cos_theta)
+    d = 1.0 - cos_theta
     scale = np.zeros(d.shape)
-    np.divide(-2.0 * s, k * d * (1.0 + np.abs(cos_theta)), out=scale, where=d > 0.0)
-    sources = np.sin(np.outer(d, half_kz)) * _cis(np.outer(cos_theta + s, half_kz)) * weights
+    np.divide(-2.0, k * d * (1.0 + cos_theta), out=scale, where=d > 0.0)
+    sines = np.sin(np.outer(d, half_kz)) * weights
+    wave = _cis(np.outer(cos_theta + 1.0, half_kz))
     first = np.cumsum([0] + [e.size for e in basis.edges[:-1]])
-    return np.add.reduceat(sources, first, axis=1) * (1j * scale)[:, None]
+    upper = np.add.reduceat(sines * wave, first, axis=1)
+    lower = np.add.reduceat(sines * wave.conj(), first, axis=1)
+    return np.stack([upper, -lower], axis=1) * (1j * scale)[:, None, None]
 
 
-def _pattern_power(
-    k: float,
-    basis: ModeBasis,
-    axial: np.ndarray,
-    cos_theta: np.ndarray,
-    phi: np.ndarray,
-) -> np.ndarray:
-    """|sin(theta) * AF|^2 on a (theta, phi) grid, elements factored per wire.
+def _phi_columns(basis: ModeBasis, n_phi: int) -> np.ndarray:
+    """For each of n_phi columns of a full circle from phi = 0, the evaluated column it copies.
 
-    cos_theta must be antisymmetric (row i mirrors row n - 1 - i about
-    theta = 90 degrees) and phi a uniform full circle starting at 0, as the
-    sample grid and the power quadrature are. The radial factor
-    e^{jk sin(theta)(x cos(phi) + y sin(phi))} depends on theta only through
-    sin(theta), so it is evaluated on the first half of the rows and serves
-    their mirrors too. When every wire lies on y = 0 the pattern is
-    even in phi: it is evaluated for phi in [0, 180] degrees and the other
-    columns are copied from their mirrors, so mirrored samples are exactly
-    equal. Any other layout evaluates every column.
+    When every wire lies on y = 0 the pattern is even in phi: only phi in [0, 180]
+    degrees is evaluated and the other columns copy their mirrors, so mirrored
+    samples are exactly equal. Any other layout evaluates every column.
     """
-    n_t, n_p = cos_theta.size, phi.size
-    t, j = np.arange(n_t), np.arange(n_p)
-    # the evaluated row and column that each result row and column copies
-    rows = np.minimum(t, t[::-1])
-    cols = j if np.any(basis.y) else np.minimum(j, -j % n_p)
-    sin_theta = np.sqrt(np.clip(1.0 - cos_theta[: rows.max() + 1] ** 2, 0.0, 1.0))
-    phi = phi[: cols.max() + 1]
-    offsets = basis.x[:, None] * np.cos(phi) + basis.y[:, None] * np.sin(phi)  # (w, p)
-    radial = _cis(k * (sin_theta[:, None, None] * offsets))  # (t/2, w, p)
-    pairs = np.stack([t, t[::-1]], axis=1)[: sin_theta.size]  # rows i and n_t - 1 - i share radial[i]
-    af = np.empty((n_t, phi.size), dtype=complex)
-    af[pairs] = axial[pairs] @ radial
-    return ((sin_theta[rows, None] * np.abs(af)) ** 2)[:, cols]
+    j = np.arange(n_phi)
+    return j if np.any(basis.y) else np.minimum(j, -j % n_phi)
+
+
+def _grid_radial(k: float, basis: ModeBasis, step: float, n_rows: int, n_cols: int) -> np.ndarray:
+    """The array factor's radial phases e^{jk sin(theta)(x cos(phi) + y sin(phi))}, shape (theta, rod, phi).
+
+    theta = i step and phi = j step, i < n_rows and j < n_cols, share their step, so
+        sin(theta)(x cos(phi) + y sin(phi)) = [x sin(theta + phi) - y cos(theta + phi)] / 2
+                                            + [x sin(theta - phi) + y cos(theta - phi)] / 2,
+    and the phase is plus[i + j] * minus[i - j], each table one row per rod of
+    n_rows + n_cols - 1 entries. Sliding windows over the tables read them
+    without copying.
+    """
+    n = np.arange(n_rows + n_cols - 1)
+    angles = np.stack([n, n - (n_cols - 1)]) * step  # i + j, then i - j, both increasing
+    x, y = basis.x[:, None, None], basis.y[:, None, None]
+    tables = _cis(0.5 * k * (x * np.sin(angles) + y * np.array([[-1.0], [1.0]]) * np.cos(angles)))
+    plus = sliding_window_view(tables[:, 0], n_cols, axis=1)  # [rod, i, j] = plus[i + j]
+    minus = sliding_window_view(tables[:, 1], n_cols, axis=1)[:, :, ::-1]  # [rod, i, j] = minus[i - j]
+    radial = np.empty((n_rows, basis.x.size, n_cols), dtype=complex)  # C order, as the batched matmul reads it
+    return np.multiply(plus.transpose(1, 0, 2), minus.transpose(1, 0, 2), out=radial)
+
+
+def _pattern_power(axial: np.ndarray, radial: np.ndarray, sin_theta: np.ndarray) -> np.ndarray:
+    """|sin(theta) * AF|^2 of both hemispheres, shape (theta, 2, phi), elements factored per wire.
+
+    axial is _axial_transforms' (theta, 2, rod), radial the (theta, rod, phi) phases,
+    which depend on theta only through sin(theta) and so serve both hemispheres.
+    """
+    af = axial @ radial
+    return (af.real**2 + af.imag**2) * (sin_theta**2)[:, None, None]
+
+
+def _intensity_scale(k: float) -> float:
+    """Radiation intensity, per steradian, of a unit pattern power |sin(theta) * AF|^2."""
+    return k**2 * ETA_0 / (32.0 * math.pi**2)
+
+
+def _radiated_power(k: float, basis: ModeBasis, weights: np.ndarray) -> float:
+    """Power the rods' currents radiate, from their edge weights (_edge_weights).
+
+    A quadrature independent of any sample grid: Gauss-Legendre in cos(theta),
+    64 nodes, times 128 phi samples from 0. The nodes are symmetric about 0, so
+    the 32 positive ones are evaluated with their mirrors; the phi samples
+    are counted as often as _phi_columns copies them.
+    """
+    nodes, node_weights = _gauss(_POWER_THETA_ORDER)
+    upper = slice(_POWER_THETA_ORDER // 2, None)
+    cos_theta, sin_theta = nodes[upper], np.sqrt(1.0 - nodes[upper] ** 2)
+    cols = _phi_columns(basis, _POWER_PHI_SAMPLES)
+    d_phi = 2.0 * math.pi / _POWER_PHI_SAMPLES
+    phi = np.arange(cols.max() + 1) * d_phi
+    offsets = basis.x[:, None] * np.cos(phi) + basis.y[:, None] * np.sin(phi)  # (rod, phi)
+    radial = _cis(k * (sin_theta[:, None, None] * offsets))
+    power = _pattern_power(_axial_transforms(k, basis, weights, cos_theta), radial, sin_theta)
+    total = node_weights[upper] @ power.sum(axis=1) @ np.bincount(cols)
+    return _intensity_scale(k) * float(total) * d_phi
 
 
 def _check_resolution(resolution_deg: float) -> int:
@@ -688,51 +733,54 @@ def _check_resolution(resolution_deg: float) -> int:
 def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarField:
     """Directivity over the full sphere on a regular grid.
 
-    The gain normalization divides by radiated power computed with a
-    Gauss-Legendre quadrature that is independent of the sample grid: 64
-    nodes in cos(theta) times 128 samples in phi from 0. Both grids take
-    the per-rod radiation integrals (one _axial_transforms call for both),
-    exact sums over the modes' wave centers with the nearer pole's phase
-    subtracted, and then the array factor over the wire positions
-    (_pattern_power), which reuses rows across theta = 90 degrees and, on a
-    y = 0 array, columns across phi = 0.
+    The gain normalization divides by the radiated power of an independent
+    quadrature (_radiated_power). Both take the per-rod radiation integrals
+    (_axial_transforms), exact sums over the modes' wave centers with the
+    nearer pole's phase subtracted, for cos(theta) >= 0 and their mirrors,
+    and then the array factor over the wire positions (_pattern_power).
+    The sample grid's radial phases come from two tables per rod
+    (_grid_radial), which serve both hemispheres; on a y = 0 array only
+    phi in [0, 180] degrees is evaluated (_phi_columns). The evaluated
+    samples are expanded to the full grid last.
 
     Raises DomainError for a bad resolution.
     """
     n_phi = _check_resolution(resolution_deg)
     n_theta = n_phi // 2 + 1
+    n_upper = (n_theta + 1) // 2  # rows with cos(theta) >= 0; row i mirrors row n_theta - 1 - i
+    n_lower = n_theta - n_upper  # the equator row, if any, is not mirrored
 
     basis, amplitudes = solution.basis, np.asarray(solution.amplitudes)
     k = 2.0 * math.pi * solution.frequency_hz / SPEED_OF_LIGHT
 
-    theta = np.linspace(0.0, 180.0, n_theta)
-    phi = np.arange(n_phi) * resolution_deg
-    cos_theta = np.cos(np.radians(theta))
-    # the sample rows, then the radiated power's independent spherical quadrature
-    x_nodes, x_weights = _gauss(_POWER_THETA_ORDER)
-    axial = _axial_transforms(k, basis, amplitudes, np.concatenate([cos_theta, x_nodes]))
-    power = _pattern_power(k, basis, axial[:n_theta], cos_theta, np.radians(phi))
-    d_phi = 2.0 * math.pi / _POWER_PHI_SAMPLES
-    power_q = _pattern_power(k, basis, axial[n_theta:], x_nodes, np.arange(_POWER_PHI_SAMPLES) * d_phi)
-    u_const = k**2 * ETA_0 / (32.0 * math.pi**2)
-    p_rad = u_const * float((x_weights[:, None] * power_q).sum() * d_phi)
+    weights = _edge_weights(k, basis, amplitudes)
+    p_rad = _radiated_power(k, basis, weights)
     if not (p_rad > 0.0 and math.isfinite(p_rad)):
         raise SolverError("radiated power is zero; far field is undefined")
 
-    directivity = (4.0 * math.pi * u_const / p_rad) * power
-    with np.errstate(divide="ignore"):
-        gain_dbi = 10.0 * np.log10(directivity)
-    gain_dbi = np.maximum(gain_dbi, GAIN_FLOOR_DBI)
-
-    peak = math.sqrt(float(power.max()))
+    theta = np.linspace(0.0, 180.0, n_theta)
+    phi = np.arange(n_phi) * resolution_deg
+    cos_theta = np.cos(np.radians(theta[:n_upper]))
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    cols = _phi_columns(basis, n_phi)
+    radial = _grid_radial(k, basis, math.radians(resolution_deg), n_upper, int(cols.max()) + 1)
+    power = _pattern_power(_axial_transforms(k, basis, weights, cos_theta), radial, sin_theta)
+    del radial  # the largest array of a fine grid, freed before the expansion's
+    peak = math.sqrt(max(float(power[:, 0].max()), float(power[:n_lower, 1].max())))
     if peak == 0.0:
         raise SolverError("pattern is identically zero on the sample grid")
-    magnitude = np.sqrt(power) / peak
+
+    def expand(samples: np.ndarray) -> np.ndarray:
+        """The (theta, phi) grid of evaluated (row, hemisphere, column) samples."""
+        return np.concatenate([samples[:, 0], samples[n_lower - 1 :: -1, 1]]).take(cols, axis=1)
+
+    with np.errstate(divide="ignore"):
+        gain_dbi = 10.0 * np.log10((4.0 * math.pi * _intensity_scale(k) / p_rad) * power)
     return FarField(
         theta_deg=theta,
         phi_deg=phi,
-        gain_dbi=gain_dbi,
-        magnitude=magnitude,
+        gain_dbi=expand(np.maximum(gain_dbi, GAIN_FLOOR_DBI)),
+        magnitude=expand(np.sqrt(power) / peak),
         resolution_deg=float(resolution_deg),
         frequency_hz=solution.frequency_hz,
     )

@@ -847,8 +847,8 @@ def test_radiated_power_balances_input_power_to_order_ka_squared(rule, radius, f
     The fill uses the ring-averaged surface kernel but the far field the axis
     current, so the two powers differ by about c (ka)^2, c = 0.41 for the
     half-wave dipole at both radii and 1.0-4.8 for the nbs beams; the bound
-    is 10 (ka)^2. P_in = Re(conj(I_gap)) / 2 for the 1 V gap, and P_rad comes
-    from the far field's own 64 x 128 power quadrature.
+    is 10 (ka)^2. P_in = Re(conj(I_gap)) / 2 for the 1 V gap, and P_rad is
+    the far field's own: the 64 x 128 power quadrature that far_field divides by.
     """
     if rule is None:
         grid = dipole_grid(0.5 * LAM, radius, 51)
@@ -856,12 +856,7 @@ def test_radiated_power_balances_input_power_to_order_ka_squared(rule, radius, f
         grid = segment(build_design(rule, F0, 2.0 * radius), 21)
     sol = solve_grid(grid, f_hz)
     k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
-    nodes, weights = em_solver._gauss(em_solver._POWER_THETA_ORDER)
-    n_phi = em_solver._POWER_PHI_SAMPLES
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    axial = em_solver._axial_transforms(k, sol.basis, sol.amplitudes, nodes)
-    power = em_solver._pattern_power(k, sol.basis, axial, nodes, phi)
-    p_rad = k**2 * em_solver.ETA_0 / (32.0 * math.pi**2) * np.sum(weights[:, None] * power) * (2.0 * math.pi / n_phi)
+    p_rad = em_solver._radiated_power(k, sol.basis, em_solver._edge_weights(k, sol.basis, sol.amplitudes))
     p_in = 0.5 * np.real(np.conj(sol.amplitudes[sol.basis.feed_mode]))
     assert abs(p_rad / p_in - 1.0) <= 10.0 * (k * radius) ** 2
 
@@ -952,6 +947,57 @@ def test_far_field_off_axis_array_matches_half_tent_oracle(layout):
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
     # the pattern is not even in phi, so copying mirrored columns would fail above
     assert not np.allclose(want.magnitude[:, 1:], want.magnitude[:, :0:-1])
+
+
+def _shifted_off_axis_grid():
+    """The three-wire off-axis array with its third rod moved 0.05 wavelengths up its axis."""
+    base = _off_axis_grid(OFF_AXIS_ARRAYS["three-wires-one-below"])
+    return replace(base, edges=(*base.edges[:2], base.edges[2] + 0.05 * LAM))
+
+
+THETA_ASYMMETRIC_GRIDS = {"shifted-element": _shifted_element_grid, "shifted-off-axis": _shifted_off_axis_grid}
+
+
+@pytest.mark.parametrize("resolution_deg", [2.0, 3.0, 60.0])
+@pytest.mark.parametrize("name", THETA_ASYMMETRIC_GRIDS)
+def test_far_field_of_a_pattern_asymmetric_in_theta_matches_half_tent_oracle(name, resolution_deg):
+    """Rods shifted along z radiate unequally above and below theta = 90 degrees.
+
+    far_field evaluates cos(theta) >= 0 and takes the lower hemisphere from
+    the mirrored transforms; a swapped or misplaced hemisphere fails here.
+    2 and 3 degrees have an equator row, 60 degrees (theta 0, 60, 120, 180) has none.
+    """
+    grid = THETA_ASYMMETRIC_GRIDS[name]()
+    sol = solve_grid(grid, F0)
+    got = far_field(sol, resolution_deg=resolution_deg)
+    want = far_field_halves.far_field(sol, grid, resolution_deg=resolution_deg)
+    assert np.max(np.abs(want.magnitude - want.magnitude[::-1])) > 0.01
+    directivity = 10.0 ** (want.gain_dbi / 10.0)
+    assert np.max(np.abs(10.0 ** (got.gain_dbi / 10.0) - directivity)) <= 1e-12 * np.max(directivity)
+    assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12
+    assert np.max(got.magnitude) == 1.0  # normalized over the returned samples only
+
+
+RADIAL_GRIDS = {
+    **{f"{rule}-{d * 1e3:g}mm": partial(segment, build_design(rule, F0, d), 3) for rule, d in BEAMS},
+    **{name: partial(_off_axis_grid, layout) for name, layout in OFF_AXIS_ARRAYS.items()},
+}
+
+
+@pytest.mark.parametrize("resolution_deg", [1.0, 3.0, 60.0])
+@pytest.mark.parametrize("name", RADIAL_GRIDS)
+def test_table_built_radial_factor_equals_direct_phase(name, resolution_deg):
+    """plus[i + j] * minus[i - j] is e^{jk sin(theta)(x cos(phi) + y sin(phi))} on the whole phi circle."""
+    basis = mode_basis(RADIAL_GRIDS[name]())
+    k = 2.0 * math.pi * 960e6 / SPEED_OF_LIGHT
+    step = math.radians(resolution_deg)
+    n_rows, n_cols = round(90.0 / resolution_deg) + 1, round(360.0 / resolution_deg)
+    theta, phi = np.arange(n_rows) * step, np.arange(n_cols) * step
+    offsets = basis.x[:, None] * np.cos(phi) + basis.y[:, None] * np.sin(phi)
+    want = em_solver._cis(k * np.sin(theta)[:, None, None] * offsets)
+    got = em_solver._grid_radial(k, basis, step, n_rows, n_cols)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_sweep_of_a_hand_built_off_axis_grid_equals_single_point_solves():

@@ -1,28 +1,37 @@
 """Dump the solver's outputs on a fixed case set, or compare two dumps bit for bit.
 
-The cases are 108 beams and one dipole:
+The cases are 108 beams, one dipole and four grids whose patterns are not
+symmetric about theta = 90 degrees or phi = 0:
 
 - the nbs, balanis and ycope designs for 900 MHz with 5 and 2 mm rods, at
   3, 7, 11, 15, 21 and 41 segments per element, each solved at 850, 905 and
   960 MHz;
-- a 51-segment half-wave dipole of radius 1e-4 wavelengths at 900 MHz.
+- a 51-segment half-wave dipole of radius 1e-4 wavelengths at 900 MHz;
+- at 900 MHz, the 11-segment nbs beam with 5 mm rods and its fourth element
+  moved 0.03 wavelengths up its axis, and three arrays of 9-segment rods of
+  radius 1e-3 wavelengths off y = 0 (OFF_AXIS_ARRAYS).
 
 For each case a dump holds the moment matrix Z, the mode amplitudes, the
-solve residual, and the gain_dbi and magnitude grids of the far field at 1
-and 2 degrees. A case that raises a YagilabError holds its message instead.
+solve residual, and the gain_dbi and magnitude grids and the peak direction
+(theta, phi) of the far field at 1, 2 and 60 degrees. A case that raises a
+YagilabError holds its message instead.
 
 Run from the root of a checkout; the package is imported from that
 checkout's src/, so the same script can dump two versions of the code:
 
-    python tools/parity.py dump before.npz
+    OPENBLAS_NUM_THREADS=1 python tools/parity.py dump before.npz
     python tools/parity.py compare before.npz after.npz
+
+Make both dumps with the same BLAS thread count, one thread as above: a
+threaded LU moves the amplitudes in their last digits (by 1e-13 of the
+largest on a 2-CPU machine), so two dumps of one commit would differ.
 
 compare checks every array with np.array_equal, prints each case and array
 that differ or exist in only one dump, and exits 1 if any does. It then
 prints, per array name, the largest difference over the cases both dumps
 hold: for gain_dbi in dB, over the samples above GAIN_FLOOR_DBI in both;
-for the residual, itself relative, as is; for every other array relative
-to its largest entry.
+for the residual, itself relative, and the peak direction, in degrees, as
+is; for every other array relative to its largest entry.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,7 +55,13 @@ RULES = ("nbs", "balanis", "ycope")
 DIAMETERS_M = (0.005, 0.002)
 SEGMENTS = (3, 7, 11, 15, 21, 41)
 SOLVE_HZ = (850e6, 905e6, 960e6)
-RESOLUTIONS_DEG = (1.0, 2.0)
+RESOLUTIONS_DEG = (1.0, 2.0, 60.0)
+# (x, y, length) in wavelengths of each rod, the first one fed
+OFF_AXIS_ARRAYS = {
+    "parasite-off-axis": [(0.0, 0.0, 0.47), (0.2, 0.1, 0.5)],
+    "pair-on-y-axis": [(0.0, 0.0, 0.47), (0.0, 0.25, 0.45)],
+    "three-wires-one-below": [(0.0, 0.0, 0.47), (0.2, 0.05, 0.5), (-0.15, -0.2, 0.44)],
+}
 
 
 def cases():
@@ -59,6 +75,13 @@ def cases():
                     yield f"{rule}-{diameter * 1e3:g}mm-{segs}-{f / 1e6:g}MHz", grid, f
     lam = SPEED_OF_LIGHT / DESIGN_HZ
     yield "dipole-51", em_solver.dipole_grid(0.5 * lam, 1e-4 * lam, 51), DESIGN_HZ
+    beam = em_solver.segment(build_design("nbs", DESIGN_HZ, 0.005), 11)
+    edges = list(beam.edges)
+    edges[3] = edges[3] + 0.03 * lam
+    yield "nbs-5mm-11-shifted", replace(beam, edges=tuple(edges)), DESIGN_HZ
+    for name, layout in OFF_AXIS_ARRAYS.items():
+        rows = [(x * lam, y * lam, length * lam, 1e-3 * lam, i) for i, (x, y, length) in enumerate(layout)]
+        yield name, em_solver._build_grid(rows, 9, 0), DESIGN_HZ
 
 
 def outputs(grid, frequency_hz: float) -> dict[str, np.ndarray]:
@@ -70,6 +93,7 @@ def outputs(grid, frequency_hz: float) -> dict[str, np.ndarray]:
         ff = em_solver.far_field(solution, resolution)
         out[f"gain_dbi_{resolution:g}deg"] = ff.gain_dbi
         out[f"magnitude_{resolution:g}deg"] = ff.magnitude
+        out[f"peak_direction_{resolution:g}deg"] = np.array(ff.peak_direction())
     return out
 
 
@@ -104,18 +128,23 @@ def compare(before_path: str, after_path: str) -> int:
         print(line)
     print(f"{len(keys) - len(differ)} of {len(keys)} arrays equal")
     for name, difference in sorted(largest.items()):
-        unit = " dB" if name.startswith("gain_dbi") else "" if name == "residual" else " of the largest entry"
+        units = {"gain_dbi": " dB", "residual": "", "peak_direction": " deg"}
+        unit = units.get(name.rsplit("_", 1)[0], " of the largest entry")
         print(f"largest {name} difference: {difference:.3g}{unit}")
     return 1 if differ else 0
 
 
 def _difference(name: str, before: np.ndarray, after: np.ndarray) -> float:
-    """Largest |after - before|: in dB above the floor for a gain grid, as is for the residual, else relative."""
+    """Largest |after - before|.
+
+    In dB above the floor for a gain grid, as is for the residual and a peak direction, else relative.
+    """
     if name.startswith("gain_dbi"):
         above = (before > em_solver.GAIN_FLOOR_DBI) & (after > em_solver.GAIN_FLOOR_DBI)
         return float(np.max(np.abs(after - before)[above], initial=0.0))
     difference = float(np.max(np.abs(after - before), initial=0.0))
-    if name == "residual" or not difference:  # a residual is already relative to the excitation
+    # a residual is already relative to the excitation, and a peak direction is in degrees
+    if name == "residual" or name.startswith("peak_direction") or not difference:
         return difference
     scale = float(np.max(np.abs(before)))
     return difference / scale if scale else math.inf
