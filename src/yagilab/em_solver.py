@@ -53,9 +53,9 @@ GAIN_FLOOR_DBI = -180.0
 _RING_QUAD_ORDER = 32
 _CONDITION_LIMIT = 1e12  # lower bound of cond_1(Z) above which a solve is refused
 
-# power-normalization quadrature (independent of the returned sample grid)
-_POWER_THETA_ORDER = 64
-_POWER_PHI_SAMPLES = 128
+# a far field's power lattice has at least min(k D + 32, 512) theta steps over 180 degrees, D the array's size
+_LATTICE_MARGIN = 32
+_MAX_LATTICE_STEPS = 512
 # finest pattern grid, 0.05 degrees; a 3-segment simulate at it peaks at about 1.0 GiB
 _MAX_PHI_STEPS = 7200
 # most modes a basis may hold; a solve at it peaks at about 0.6 GiB
@@ -65,14 +65,10 @@ _MAX_EDGES = 2300
 
 
 @functools.cache
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _ring_quadrature() -> tuple[np.ndarray, np.ndarray]:
     """Nodes 2 sin(phi/2) and weights of the same-wire kernel's (1/pi) * integral over (0, pi) dphi."""
-    nodes, weights = _gauss(_RING_QUAD_ORDER)  # phi = (pi/2)(node + 1), so a (1/pi) * (pi/2) Jacobian
-    return 2.0 * np.sin(0.25 * math.pi * (nodes + 1.0)), 0.5 * weights
+    nodes, weights = np.polynomial.legendre.leggauss(_RING_QUAD_ORDER)  # phi = (pi/2)(node + 1)
+    return 2.0 * np.sin(0.25 * math.pi * (nodes + 1.0)), 0.5 * weights  # a (1/pi) * (pi/2) Jacobian
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,13 +222,14 @@ class FarField:
         return float(np.max(self.gain_dbi))
 
     def peak_direction(self) -> tuple[float, float]:
-        """(theta, phi) of the largest gain sample, in degrees.
+        """(theta, phi) of the first sample in (theta, phi) row order whose linear gain is within 1e-12 of the largest.
 
-        Ties go to the first sample in (theta, phi) row order. A y = 0 array
-        has exactly equal mirrored columns, so of two equal mirror peaks the
-        one at the lower phi is returned.
+        Peaks equal up to rounding, such as the mirror rows of a z-symmetric
+        array on a grid with no equator row, go to the lower theta; a y = 0
+        array's exactly equal mirror columns go to the lower phi.
         """
-        t, p = np.unravel_index(int(np.argmax(self.gain_dbi)), self.gain_dbi.shape)
+        near = self.gain_dbi >= self.peak_gain_dbi() + 10.0 * math.log10(1.0 - 1e-12)
+        t, p = np.unravel_index(int(np.argmax(near)), self.gain_dbi.shape)
         return float(self.theta_deg[t]), float(self.phi_deg[p])
 
     def gain_at(self, theta_deg: float, phi_deg: float) -> float:
@@ -687,25 +684,44 @@ def _intensity_scale(k: float) -> float:
     return k**2 * ETA_0 / (32.0 * math.pi**2)
 
 
-def _radiated_power(k: float, basis: ModeBasis, weights: np.ndarray) -> float:
-    """Power the rods' currents radiate, from their edge weights (_edge_weights).
+def _clenshaw_curtis(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights in cos(theta) of the rows theta_i = i pi / n, i <= n / 2 (Waldvogel, BIT 46, 2006).
 
-    A quadrature independent of any sample grid: Gauss-Legendre in cos(theta),
-    64 nodes, times 128 phi samples from 0. The nodes are symmetric about 0, so
-    the 32 positive ones are evaluated with their mirrors; the phi samples
-    are counted as often as _phi_columns copies them.
+    w_i = (c_i / n)(1 - sum_{j=1}^{n // 2} b_j cos(2 j theta_i) / (4 j^2 - 1)), c_i = 1 at the pole and 2
+    elsewhere, b_j = 1 at j = n / 2 and 2 elsewhere, for odd n too; the sum is the real part of one FFT.
     """
-    nodes, node_weights = _gauss(_POWER_THETA_ORDER)
-    upper = slice(_POWER_THETA_ORDER // 2, None)
-    cos_theta, sin_theta = nodes[upper], np.sqrt(1.0 - nodes[upper] ** 2)
-    cols = _phi_columns(basis, _POWER_PHI_SAMPLES)
-    d_phi = 2.0 * math.pi / _POWER_PHI_SAMPLES
-    phi = np.arange(cols.max() + 1) * d_phi
-    offsets = basis.x[:, None] * np.cos(phi) + basis.y[:, None] * np.sin(phi)  # (rod, phi)
-    radial = _cis(k * (sin_theta[:, None, None] * offsets))
-    power = _pattern_power(_axial_transforms(k, basis, weights, cos_theta), radial, sin_theta)
-    total = node_weights[upper] @ power.sum(axis=1) @ np.bincount(cols)
-    return _intensity_scale(k) * float(total) * d_phi
+    j = np.arange(1, n // 2 + 1)
+    a = np.zeros(n)
+    a[j] = np.where(2 * j == n, 1.0, 2.0) / (4.0 * j**2 - 1.0)
+    return (1.0 - np.fft.rfft(a).real) * np.where(np.arange(n // 2 + 1) == 0, 1.0 / n, 2.0 / n)
+
+
+def _sphere_samples(
+    k: float, basis: ModeBasis, weights: np.ndarray, step: float, n_steps: int
+) -> tuple[np.ndarray, float]:
+    """Pattern power on a grid of theta and phi steps step = pi / n_steps, and the power the rods radiate.
+
+    weights are the rods' edge weights (_edge_weights). The power integrates one lattice of steps
+    step / m: Clenshaw-Curtis in cos(theta) and the rectangle rule in phi, each sample counted as
+    often as _phi_columns copies it. m is the smallest integer for which n = m n_steps is at least
+    min(k D + 32, 512), D = hypot(largest axis distance between rods, z extent of all segment ends);
+    past the cap (arrays over about 76 wavelengths) the integral aliases. Every m-th row and column
+    of the lattice's _pattern_power samples (row with cos(theta) >= 0, hemisphere, column) are the grid's.
+    """
+    x, y, z = basis.x, basis.y, np.concatenate(basis.edges)
+    with np.errstate(over="ignore"):  # a far but finite rod sizes the lattice at its cap
+        size = math.hypot(float(np.max(np.hypot(x[:, None] - x, y[:, None] - y))), float(z.max() - z.min()))
+    m = math.ceil(min(k * size + _LATTICE_MARGIN, _MAX_LATTICE_STEPS) / n_steps)
+    n = m * n_steps
+    n_upper, n_lower = n // 2 + 1, (n + 1) // 2  # rows with cos(theta) >= 0, and those with a mirror row
+    cos_theta = np.cos(np.radians(np.linspace(0.0, 180.0, n + 1)[:n_upper]))
+    cols = _phi_columns(basis, 2 * n)
+    radial = _grid_radial(k, basis, step / m, n_upper, int(cols.max()) + 1)
+    power = _pattern_power(_axial_transforms(k, basis, weights, cos_theta), radial, np.sqrt(1.0 - cos_theta**2))
+    del radial  # the largest array of a fine grid, freed before the far field's expansion
+    w = _clenshaw_curtis(n)
+    total = (w @ power[:, 0] + w[:n_lower] @ power[:n_lower, 1]) @ np.bincount(cols)
+    return power[::m, :, ::m], _intensity_scale(k) * float(total) * (math.pi / n)
 
 
 def _check_resolution(resolution_deg: float) -> int:
@@ -733,42 +749,26 @@ def _check_resolution(resolution_deg: float) -> int:
 def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarField:
     """Directivity over the full sphere on a regular grid.
 
-    The gain normalization divides by the radiated power of an independent
-    quadrature (_radiated_power). Both take the per-rod radiation integrals
-    (_axial_transforms), exact sums over the modes' wave centers with the
-    nearer pole's phase subtracted, for cos(theta) >= 0 and their mirrors,
-    and then the array factor over the wire positions (_pattern_power).
-    The sample grid's radial phases come from two tables per rod
-    (_grid_radial), which serve both hemispheres; on a y = 0 array only
-    phi in [0, 180] degrees is evaluated (_phi_columns). The evaluated
-    samples are expanded to the full grid last.
+    The samples and the radiated power the gain is normalized by come from
+    one sphere lattice (_sphere_samples): the grid itself when it resolves
+    the array, else the grid refined by the smallest integer factor that
+    does. The evaluated samples are expanded to the full grid last.
 
     Raises DomainError for a bad resolution.
     """
     n_phi = _check_resolution(resolution_deg)
     n_theta = n_phi // 2 + 1
-    n_upper = (n_theta + 1) // 2  # rows with cos(theta) >= 0; row i mirrors row n_theta - 1 - i
-    n_lower = n_theta - n_upper  # the equator row, if any, is not mirrored
+    n_lower = n_theta // 2  # rows mirrored from cos(theta) > 0; the equator row, if any, is not
 
-    basis, amplitudes = solution.basis, np.asarray(solution.amplitudes)
-    k = 2.0 * math.pi * solution.frequency_hz / SPEED_OF_LIGHT
-
-    weights = _edge_weights(k, basis, amplitudes)
-    p_rad = _radiated_power(k, basis, weights)
+    basis, k = solution.basis, 2.0 * math.pi * solution.frequency_hz / SPEED_OF_LIGHT
+    weights = _edge_weights(k, basis, np.asarray(solution.amplitudes))
+    power, p_rad = _sphere_samples(k, basis, weights, math.radians(resolution_deg), n_phi // 2)
     if not (p_rad > 0.0 and math.isfinite(p_rad)):
         raise SolverError("radiated power is zero; far field is undefined")
-
-    theta = np.linspace(0.0, 180.0, n_theta)
-    phi = np.arange(n_phi) * resolution_deg
-    cos_theta = np.cos(np.radians(theta[:n_upper]))
-    sin_theta = np.sqrt(1.0 - cos_theta**2)
-    cols = _phi_columns(basis, n_phi)
-    radial = _grid_radial(k, basis, math.radians(resolution_deg), n_upper, int(cols.max()) + 1)
-    power = _pattern_power(_axial_transforms(k, basis, weights, cos_theta), radial, sin_theta)
-    del radial  # the largest array of a fine grid, freed before the expansion's
     peak = math.sqrt(max(float(power[:, 0].max()), float(power[:n_lower, 1].max())))
     if peak == 0.0:
         raise SolverError("pattern is identically zero on the sample grid")
+    cols = _phi_columns(basis, n_phi)
 
     def expand(samples: np.ndarray) -> np.ndarray:
         """The (theta, phi) grid of evaluated (row, hemisphere, column) samples."""
@@ -777,8 +777,8 @@ def far_field(solution: CurrentSolution, resolution_deg: float = 1.0) -> FarFiel
     with np.errstate(divide="ignore"):
         gain_dbi = 10.0 * np.log10((4.0 * math.pi * _intensity_scale(k) / p_rad) * power)
     return FarField(
-        theta_deg=theta,
-        phi_deg=phi,
+        theta_deg=np.linspace(0.0, 180.0, n_theta),
+        phi_deg=np.arange(n_phi) * resolution_deg,
         gain_dbi=expand(np.maximum(gain_dbi, GAIN_FLOOR_DBI)),
         magnitude=expand(np.sqrt(power) / peak),
         resolution_deg=float(resolution_deg),

@@ -21,7 +21,6 @@ from yagilab.em_solver import (
     ETA_0,
     WireGrid,
     _check_wire_spacing,
-    _gauss,
     _sin_widths,
     mode_basis,
 )
@@ -29,6 +28,7 @@ from yagilab.errors import DomainError
 from yagilab.geometry import SPEED_OF_LIGHT, check_frequency
 
 _AXIAL_QUAD_ORDER = 32
+_AXIAL_RULE = np.polynomial.legendre.leggauss(_AXIAL_QUAD_ORDER)  # Gauss-Legendre nodes and weights
 
 
 def _tent_integrals(
@@ -52,7 +52,7 @@ def _tent_integrals(
     t_hi = np.arcsinh((hi[:, None] - centers) / rho[:, None])
     mid = 0.5 * (t_hi + t_lo)
     half = 0.5 * (t_hi - t_lo)
-    nodes, weights = _gauss(_AXIAL_QUAD_ORDER)
+    nodes, weights = _AXIAL_RULE
     t = mid[..., None] + half[..., None] * nodes
     z = centers[None, :, None] + rho[:, None, None] * np.sinh(t)
     beta = np.sin(k * sign * (z - z_zero[:, None, None])) / sin_w[:, None, None]
@@ -77,7 +77,7 @@ def _tent_integrals_ring(
     t_hi = np.arcsinh((hi[:, None, None] - centers[None, :, None]) / ring_rho)
     mid = 0.5 * (t_hi + t_lo)
     half = 0.5 * (t_hi - t_lo)
-    nodes, weights = _gauss(_AXIAL_QUAD_ORDER)
+    nodes, weights = _AXIAL_RULE
     t = mid[..., None] + half[..., None] * nodes
     z = centers[None, :, None, None] + ring_rho[None, None, :, None] * np.sinh(t)
     beta = np.sin(k * sign * (z - z_zero[:, None, None, None])) / sin_w[:, None, None, None]
@@ -111,7 +111,7 @@ def impedance_matrix(grid: WireGrid, frequency_hz: float, symmetrize: bool = Tru
 
     # ring quadrature for the azimuthally averaged same-wire kernel:
     # (1/pi) * integral over (0, pi) of f(2 a sin(phi/2)) dphi
-    ring_nodes, ring_w = _gauss(_RING_QUAD_ORDER)
+    ring_nodes, ring_w = np.polynomial.legendre.leggauss(_RING_QUAD_ORDER)
     ring_phi = 0.5 * math.pi * (ring_nodes + 1.0)
     ring_weights = 0.5 * ring_w  # folded (1/pi) * (pi/2) Jacobian
 

@@ -16,19 +16,19 @@ import numpy as np
 
 from mode_columns import per_mode
 from yagilab.em_solver import (
-    _POWER_PHI_SAMPLES,
-    _POWER_THETA_ORDER,
     ETA_0,
     GAIN_FLOOR_DBI,
     CurrentSolution,
     FarField,
     WireGrid,
-    _gauss,
 )
 from yagilab.errors import DomainError, SolverError
 from yagilab.geometry import SPEED_OF_LIGHT
 
 _PATTERN_QUAD_ORDER = 12  # Gauss-Legendre nodes per half-tent
+# power-normalization quadrature (independent of the returned sample grid)
+_POWER_THETA_ORDER = 64
+_POWER_PHI_SAMPLES = 128
 
 
 def _axial_transforms(
@@ -39,7 +39,7 @@ def _axial_transforms(
     Each entry is integral of I(z) e^{jk cos(theta) z} dz over the wire,
     evaluated with Gauss-Legendre per half-tent.
     """
-    nodes, weights = _gauss(_PATTERN_QUAD_ORDER)
+    nodes, weights = np.polynomial.legendre.leggauss(_PATTERN_QUAD_ORDER)
     sin_lo = np.sin(k * basis.w_lo)
     sin_hi = np.sin(k * basis.w_hi)
     u = cos_theta
@@ -110,7 +110,7 @@ def far_field(solution: CurrentSolution, grid: WireGrid, resolution_deg: float =
     power = _pattern_power(k, profiles, np.cos(np.radians(theta)), np.radians(phi))
 
     # radiated power from an independent spherical quadrature
-    x_nodes, x_weights = _gauss(_POWER_THETA_ORDER)
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(_POWER_THETA_ORDER)
     phi_q = (np.arange(_POWER_PHI_SAMPLES) + 0.5) * (2.0 * math.pi / _POWER_PHI_SAMPLES)
     profiles_q = _axial_transforms(k, basis, solution.amplitudes, x_nodes)
     power_q = _pattern_power(k, profiles_q, x_nodes, phi_q)

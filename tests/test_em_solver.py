@@ -824,13 +824,26 @@ def _nearly_uniform_grid():
     f_mhz=st.floats(min_value=400.0, max_value=1200.0),
 )
 def test_far_field_sphere_integral_property(length_frac, radius_frac, segs, resolution_deg, f_mhz):
-    """Directivity integrates to 4*pi over the sphere: power is conserved."""
+    """Directivity integrates to 4*pi over the sphere: power is conserved.
+
+    These grids resolve the dipole, so the gain's normalization comes from the
+    same samples under another rule (Clenshaw-Curtis against the trapezoid);
+    test_far_field_power_equals_the_thin_fill_power checks it independently.
+    """
     f_hz = f_mhz * 1e6
     lam = SPEED_OF_LIGHT / f_hz
     grid = dipole_grid(length_frac * lam, radius_frac * lam, segs)
     sol = solve_grid(grid, f_hz)
     ff = far_field(sol, resolution_deg=resolution_deg)
     assert abs(ff.sphere_integral_linear_gain() / (4.0 * math.pi) - 1.0) < 0.02
+
+
+def _radiated_power(sol, resolution_deg=2.0):
+    """The power far_field normalizes its gain by at resolution_deg, from its sphere lattice."""
+    k = 2.0 * math.pi * sol.frequency_hz / SPEED_OF_LIGHT
+    weights = em_solver._edge_weights(k, sol.basis, sol.amplitudes)
+    step, n_steps = math.radians(resolution_deg), round(180.0 / resolution_deg)
+    return em_solver._sphere_samples(k, sol.basis, weights, step, n_steps)[1]
 
 
 POWER_BALANCE_CASES = {
@@ -848,7 +861,7 @@ def test_radiated_power_balances_input_power_to_order_ka_squared(rule, radius, f
     current, so the two powers differ by about c (ka)^2, c = 0.41 for the
     half-wave dipole at both radii and 1.0-4.8 for the nbs beams; the bound
     is 10 (ka)^2. P_in = Re(conj(I_gap)) / 2 for the 1 V gap, and P_rad is
-    the far field's own: the 64 x 128 power quadrature that far_field divides by.
+    the far field's own, integrated over its sphere lattice.
     """
     if rule is None:
         grid = dipole_grid(0.5 * LAM, radius, 51)
@@ -856,9 +869,91 @@ def test_radiated_power_balances_input_power_to_order_ka_squared(rule, radius, f
         grid = segment(build_design(rule, F0, 2.0 * radius), 21)
     sol = solve_grid(grid, f_hz)
     k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
-    p_rad = em_solver._radiated_power(k, sol.basis, em_solver._edge_weights(k, sol.basis, sol.amplitudes))
     p_in = 0.5 * np.real(np.conj(sol.amplitudes[sol.basis.feed_mode]))
-    assert abs(p_rad / p_in - 1.0) <= 10.0 * (k * radius) ** 2
+    assert abs(_radiated_power(sol) / p_in - 1.0) <= 10.0 * (k * radius) ** 2
+
+
+def _line_of_rods(n_rods, spacing_lam):
+    """n_rods fed-first 9-segment rods of 0.47 wavelengths along x, spacing_lam wavelengths apart."""
+    rows = [(i * spacing_lam * LAM, 0.0, 0.47 * LAM, 1e-3 * LAM, i) for i in range(n_rods)]
+    return _build_grid(rows, 9, 0)
+
+
+IDENTITY_GRIDS = {
+    "dipole-51": partial(dipole_grid, 0.5 * LAM, 1e-4 * LAM, 51),
+    **{
+        f"nbs-{d * 1e3:g}mm-{segs}": partial(segment, build_design("nbs", F0, d), segs)
+        for d in (0.005, 0.002)
+        for segs in (7, 21)
+    },
+    "dipole-19.9-wavelengths": partial(dipole_grid, 19.9 * LAM, 1e-4 * LAM, 201),
+    "line-20-rods-2-wavelengths": partial(_line_of_rods, 20, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_GRIDS)
+def test_far_field_power_equals_the_thin_fill_power(name):
+    """P_rad = feed_length Re(I^H Z_fil I) / 2, Z_fil filled with every radius times 1e-6.
+
+    The rods' far-field power is that of their axis currents, and so is the
+    real part of a fill whose wires shrink to their axes: its wire-to-wire
+    blocks already use the axis kernel, the real part of the same-wire kernel,
+    sin(kR)/R, is regular on the axis, and the ln(rho) part of a thin same-wire
+    block changes only the reactance. The two wide arrays need a lattice finer
+    than the 2 degree grid.
+    """
+    grid = IDENTITY_GRIDS[name]()
+    sol = solve_grid(grid, F0)
+    thin = mode_basis(replace(grid, radius=grid.radius * 1e-6))
+    z_fil = impedance_matrix(thin, F0) * thin.feed_length_m
+    i = sol.amplitudes
+    p_fil = 0.5 * float(np.real(np.conj(i) @ z_fil @ i))
+    assert abs(_radiated_power(sol) / p_fil - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("resolution_deg", [2.0, 60.0])
+def test_far_field_samples_one_sphere_lattice(monkeypatch, dipole51, resolution_deg):
+    """The gain grid and its normalization come from one set of transforms, phases and powers.
+
+    At 60 degrees the lattice refines the grid 12 times and still takes one call of each.
+    """
+    calls = []
+    for name in ("_axial_transforms", "_grid_radial", "_pattern_power"):
+        real = getattr(em_solver, name)
+        monkeypatch.setattr(em_solver, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    far_field(dipole51[1], resolution_deg=resolution_deg)
+    assert sorted(calls) == ["_axial_transforms", "_grid_radial", "_pattern_power"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 90, 91])
+def test_clenshaw_curtis_weights_match_the_cosine_sum_and_integrate_polynomials(n):
+    """The FFT weights equal the direct cosine sum, and with their mirrors integrate x^p over [-1, 1] for p <= n."""
+    theta = np.arange(n // 2 + 1) * math.pi / n
+    j = np.arange(1, n // 2 + 1)
+    b = np.where(2 * j == n, 1.0, 2.0)
+    c = np.where(theta == 0.0, 1.0, 2.0)
+    direct = c / n * (1.0 - (b * np.cos(2.0 * np.outer(theta, j)) / (4.0 * j**2 - 1.0)).sum(axis=1))
+    got = em_solver._clenshaw_curtis(n)
+    assert np.max(np.abs(got - direct)) <= 1e-15
+    i = np.arange(n + 1)
+    w = got[np.minimum(i, n - i)]  # rows past the equator take the weight of their mirror n - i
+    x = np.cos(i * math.pi / n)
+    for p in range(n + 1):
+        assert w @ x**p == pytest.approx((1 + (-1) ** p) / (p + 1), abs=1e-13)
+
+
+def test_peak_direction_takes_the_first_of_peaks_equal_up_to_rounding():
+    """A sample within 1e-12 of the largest linear gain in an earlier row wins; a real lobe difference does not tie."""
+    gain = np.full((4, 4), -10.0)
+    gain[2, 1], gain[1, 3] = 10.0, 10.0 - 1e-14
+    ff = em_solver.FarField(
+        theta_deg=np.array([0.0, 60.0, 120.0, 180.0]), phi_deg=np.arange(4) * 90.0, gain_dbi=gain,
+        magnitude=np.ones((4, 4)), resolution_deg=60.0, frequency_hz=F0,
+    )
+    assert ff.peak_direction() == (60.0, 270.0)
+    assert ff.peak_gain_dbi() == 10.0
+    gain[1, 3] = 10.0 - 1e-9
+    assert ff.peak_direction() == (120.0, 90.0)
 
 
 FAR_FIELD_CASES = (

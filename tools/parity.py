@@ -1,7 +1,7 @@
 """Dump the solver's outputs on a fixed case set, or compare two dumps bit for bit.
 
-The cases are 108 beams, one dipole and four grids whose patterns are not
-symmetric about theta = 90 degrees or phi = 0:
+The cases are 108 beams, two dipoles, four grids whose patterns are not
+symmetric about theta = 90 degrees or phi = 0, and one long line of rods:
 
 - the nbs, balanis and ycope designs for 900 MHz with 5 and 2 mm rods, at
   3, 7, 11, 15, 21 and 41 segments per element, each solved at 850, 905 and
@@ -9,7 +9,13 @@ symmetric about theta = 90 degrees or phi = 0:
 - a 51-segment half-wave dipole of radius 1e-4 wavelengths at 900 MHz;
 - at 900 MHz, the 11-segment nbs beam with 5 mm rods and its fourth element
   moved 0.03 wavelengths up its axis, and three arrays of 9-segment rods of
-  radius 1e-3 wavelengths off y = 0 (OFF_AXIS_ARRAYS).
+  radius 1e-3 wavelengths off y = 0 (OFF_AXIS_ARRAYS);
+- at 900 MHz, two arrays too wide for a 2 degree grid to integrate their
+  radiated power: a 201-segment dipole 19.9 wavelengths long of radius 1e-4
+  wavelengths, and twenty 9-segment rods of 0.47 wavelengths and radius
+  1e-3 wavelengths on a line 2 wavelengths apart. Their far fields sample
+  a finer lattice than the grid (the line's 2 and 4 times finer at 1 and 2
+  degrees), so a dump covers that path too.
 
 For each case a dump holds the moment matrix Z, the mode amplitudes, the
 solve residual, and the gain_dbi and magnitude grids and the peak direction
@@ -82,6 +88,9 @@ def cases():
     for name, layout in OFF_AXIS_ARRAYS.items():
         rows = [(x * lam, y * lam, length * lam, 1e-3 * lam, i) for i, (x, y, length) in enumerate(layout)]
         yield name, em_solver._build_grid(rows, 9, 0), DESIGN_HZ
+    yield "dipole-201-19.9", em_solver.dipole_grid(19.9 * lam, 1e-4 * lam, 201), DESIGN_HZ
+    rows = [(i * 2.0 * lam, 0.0, 0.47 * lam, 1e-3 * lam, i) for i in range(20)]
+    yield "line-20-rods", em_solver._build_grid(rows, 9, 0), DESIGN_HZ
 
 
 def outputs(grid, frequency_hz: float) -> dict[str, np.ndarray]:
